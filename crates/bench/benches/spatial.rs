@@ -52,19 +52,12 @@ fn bench_spatial(c: &mut Criterion) {
                     .len()
             })
         });
-        group.bench_function(format!("build_bottomup_m{m}"), |b| {
-            b.iter(|| {
-                PrQuadtree::build_bottomup(Rect::unit(), m, black_box(points.iter().copied()))
-                    .unwrap()
-                    .len()
-            })
-        });
     }
 
-    // Direct bottom-up freeze: points straight to the Morton-packed
-    // linear form, no arena, no from_tree sort. Compare against
-    // `freeze_1e5` in BENCH_query (which freezes a prebuilt tree) plus
-    // `build_arena_m8` (the build that freeze presupposes).
+    // Direct radix freeze: points straight to the Morton-packed linear
+    // form, no arena. Compare against `freeze_1e5` in BENCH_query
+    // (which freezes a prebuilt tree) plus `build_arena_m8` (the build
+    // that freeze presupposes).
     group.bench_function("freeze_direct", |b| {
         b.iter(|| {
             LinearQuadtree::from_points_direct(

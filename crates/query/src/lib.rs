@@ -23,7 +23,7 @@
 //!   blocks, points) sorted by locational code, built by
 //!   [`Snapshot::freeze`] from a PR quadtree or
 //!   [`Snapshot::from_points`] from anything else.
-//! * [`SnapshotPublisher`] / [`SnapshotReader`] / [`QueryService`] — the
+//! * [`SnapshotPublisher`] / [`SnapshotReader`] — the
 //!   epoch protocol (DESIGN.md §10): a single writer publishes into a
 //!   double-buffered pair of slots and then advances an atomic epoch;
 //!   readers serve from a cached [`std::sync::Arc`] guard and re-sync
@@ -42,7 +42,7 @@
 //! * **Quarantine and rollback** — [`SnapshotPublisher::publish`]
 //!   validates every candidate *before* the epoch swap; a corrupt one
 //!   lands in the bounded [`publisher::QuarantineLog`] and the
-//!   last-good epoch keeps serving. [`QueryService::health`] reports
+//!   last-good epoch keeps serving. [`SnapshotPublisher::health`] reports
 //!   the last-good epoch, rejection count, and degraded-answer count.
 //! * **Budgeted degraded queries** — `range_bounded` / `count_bounded`
 //!   / `knn_bounded` take a [`popan_spatial::CostBudget`] in
@@ -53,13 +53,13 @@
 //!   visits ≈ `c·ln n` + selectivity-scaled leaf mass).
 //! * **Chaos-tested** — `tests/chaos.rs` drives publish rounds under a
 //!   seeded fault plan (`corrupt:<section>`, `publish-stall`,
-//!   `reject-epoch`) and asserts the service never serves a damaged
+//!   `reject-epoch`) and asserts the publisher never serves a damaged
 //!   snapshot, answers stay bit-identical to the last-good oracle, and
 //!   recovery is byte-identical to a never-faulted run.
 //!
 //! ```
 //! use popan_geom::{Point2, Rect};
-//! use popan_query::{QueryService, Queryable, Snapshot};
+//! use popan_query::{Queryable, Snapshot, SnapshotPublisher};
 //! use popan_spatial::PrQuadtree;
 //!
 //! let tree = PrQuadtree::build(
@@ -68,8 +68,8 @@
 //!     [Point2::new(0.2, 0.3), Point2::new(0.7, 0.6)],
 //! )
 //! .unwrap();
-//! let mut service = QueryService::new(Snapshot::freeze(0, &tree).unwrap());
-//! let mut reader = service.reader();
+//! let publisher = SnapshotPublisher::new(Snapshot::freeze(0, &tree).unwrap());
+//! let mut reader = publisher.subscribe();
 //! let hits = reader.current().range(&Rect::from_bounds(0.0, 0.0, 0.5, 0.5));
 //! assert_eq!(hits, vec![Point2::new(0.2, 0.3)]);
 //! ```
@@ -86,8 +86,8 @@ pub mod snapshot;
 pub use batch::{BatchAnswers, BatchScratch};
 pub use budget::{budget_for, default_budget, DEFAULT_SLACK};
 pub use publisher::{
-    PublishError, QuarantineCause, QuarantineEntry, QuarantineLog, QueryService, ReaderError,
-    ServiceHealth, SnapshotPublisher, SnapshotReader, QUARANTINE_LOG_CAP,
+    PublishError, QuarantineCause, QuarantineEntry, QuarantineLog, ReaderError, ServiceHealth,
+    SnapshotPublisher, SnapshotReader, QUARANTINE_LOG_CAP,
 };
 pub use queryable::{canonical_sort, knn_by_scan, range_by_scan, Queryable};
 pub use snapshot::{Snapshot, SnapshotBuildError, SnapshotCorruption, SnapshotStats};

@@ -472,59 +472,6 @@ impl SnapshotReader {
     }
 }
 
-/// The high-level facade: a publisher plus reader factory, the shape
-/// the README quickstart and the experiment driver use.
-pub struct QueryService {
-    publisher: SnapshotPublisher,
-}
-
-impl QueryService {
-    /// Starts a service serving `initial` as epoch 0.
-    pub fn new(initial: Snapshot) -> QueryService {
-        QueryService {
-            publisher: SnapshotPublisher::new(initial),
-        }
-    }
-
-    /// The latest published epoch.
-    pub fn epoch(&self) -> u64 {
-        self.publisher.epoch()
-    }
-
-    /// Creates a reader handle (one per reader thread).
-    pub fn reader(&self) -> SnapshotReader {
-        self.publisher.subscribe()
-    }
-
-    /// Validates and publishes a pre-built snapshot as the next epoch;
-    /// corrupt candidates are quarantined and the last-good epoch keeps
-    /// serving (see [`SnapshotPublisher::publish`]).
-    pub fn publish(&mut self, snapshot: Snapshot) -> Result<u64, PublishError> {
-        self.publisher.publish(snapshot)
-    }
-
-    /// Forcibly quarantines a candidate without publishing it.
-    pub fn quarantine(&mut self, snapshot: &Snapshot) -> u64 {
-        self.publisher.quarantine(snapshot)
-    }
-
-    /// Freezes `tree`, validates, and publishes it as the next epoch.
-    pub fn freeze_and_publish(&mut self, tree: &PrQuadtree) -> Result<u64, PublishError> {
-        self.publisher.freeze_and_publish(tree)
-    }
-
-    /// Aggregate serving health (last-good epoch, rejections, degraded
-    /// answers).
-    pub fn health(&self) -> ServiceHealth {
-        self.publisher.health()
-    }
-
-    /// The quarantine log.
-    pub fn quarantine_log(&self) -> &QuarantineLog {
-        self.publisher.quarantine_log()
-    }
-}
-
 impl Snapshot {
     /// Re-stamps the epoch (publisher-assigned epochs are the truth).
     fn with_epoch(mut self, epoch: u64) -> Snapshot {
@@ -714,25 +661,25 @@ mod tests {
     }
 
     #[test]
-    fn service_facade_round_trips() {
-        let mut service = QueryService::new(snap_of(3));
-        let mut reader = service.reader();
+    fn freeze_and_publish_round_trips() {
+        let mut publisher = SnapshotPublisher::new(snap_of(3));
+        let mut reader = publisher.subscribe();
         let tree = PrQuadtree::build(
             Rect::unit(),
             4,
             (0..10).map(|i| Point2::new((i as f64 + 0.5) / 10.0, 0.25)),
         )
         .unwrap();
-        assert_eq!(service.freeze_and_publish(&tree).unwrap(), 1);
-        assert_eq!(service.epoch(), 1);
+        assert_eq!(publisher.freeze_and_publish(&tree).unwrap(), 1);
+        assert_eq!(publisher.epoch(), 1);
         let snap = reader.current();
         assert_eq!(snap.len(), 10);
         assert_eq!(snap.count(&Rect::from_bounds(0.0, 0.0, 1.0, 0.5)), 10);
-        let health = service.health();
+        let health = publisher.health();
         assert_eq!(health.last_good_epoch, 1);
         assert_eq!(health.rejected, 0);
         assert_eq!(health.degraded_answers, 0);
-        assert!(service.quarantine_log().is_empty());
+        assert!(publisher.quarantine_log().is_empty());
     }
 
     #[test]

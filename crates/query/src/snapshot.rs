@@ -129,7 +129,7 @@ impl Snapshot {
     }
 
     /// One-stop health view of the frozen replica, the shape
-    /// `QueryService::health` and the ops tooling consume.
+    /// `SnapshotPublisher::health` and the ops tooling consume.
     pub fn stats(&self) -> SnapshotStats {
         SnapshotStats {
             epoch: self.epoch,

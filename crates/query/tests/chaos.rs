@@ -1,7 +1,7 @@
 //! Serving-path chaos suite: fault-injected publish rounds.
 //!
 //! A seeded writer pushes a fixed sequence of candidate snapshots at a
-//! [`QueryService`] while a [`popan_engine::FaultPlan`] damages the
+//! [`SnapshotPublisher`] while a [`popan_engine::FaultPlan`] damages the
 //! pipeline with the query-tier fault vocabulary:
 //!
 //! * `corrupt:<section>` — one bit of the candidate's named slab is
@@ -28,7 +28,7 @@ use std::sync::{Arc, Barrier};
 
 use popan_engine::{CorruptTarget, Fault, FaultPlan};
 use popan_geom::{Point2, Rect};
-use popan_query::{PublishError, QuarantineCause, QueryService, Snapshot};
+use popan_query::{PublishError, QuarantineCause, Snapshot, SnapshotPublisher};
 use popan_rng::rngs::StdRng;
 use popan_rng::{Rng, SeedableRng};
 use popan_spatial::SnapshotSection;
@@ -71,9 +71,9 @@ fn round_snapshot(r: u64) -> Snapshot {
     Snapshot::from_points(r, Rect::unit(), 4, pts).unwrap()
 }
 
-/// What the service must be serving after each round's writer action:
+/// What the publisher must be serving after each round's writer action:
 /// `(epoch, content_round)`, plus the final state after the post-fault
-/// clean publish. Pure simulation — no service involved.
+/// clean publish. Pure simulation — no publisher involved.
 fn simulate(plan: &FaultPlan) -> (Vec<(u64, u64)>, (u64, u64)) {
     let mut epoch = 0u64;
     let mut content = 0u64;
@@ -166,11 +166,11 @@ fn run_chaos(n_readers: usize) -> (Vec<(u64, usize, u64)>, popan_spatial::Sectio
     let plan = plan();
     let (per_round, (final_epoch, _)) = simulate(&plan);
 
-    let mut service = QueryService::new(round_snapshot(0));
+    let mut publisher = SnapshotPublisher::new(round_snapshot(0));
     let barrier = Arc::new(Barrier::new(n_readers + 1));
     let handles: Vec<_> = (0..n_readers)
         .map(|rid| {
-            let mut reader = service.reader();
+            let mut reader = publisher.subscribe();
             let barrier = Arc::clone(&barrier);
             let per_round = per_round.clone();
             std::thread::spawn(move || {
@@ -207,20 +207,20 @@ fn run_chaos(n_readers: usize) -> (Vec<(u64, usize, u64)>, popan_spatial::Sectio
     let mut pending: Option<Snapshot> = None;
     for round in 1..=ROUNDS {
         if let Some(stalled) = pending.take() {
-            service
+            publisher
                 .publish(stalled)
                 .expect("stalled candidate is pristine");
         }
         let candidate = round_snapshot(round);
         match plan.fault_for(SCOPE, round as usize, 0) {
             None => {
-                service.publish(candidate).expect("clean publish");
+                publisher.publish(candidate).expect("clean publish");
             }
             Some(Fault::Corrupt(target)) => {
                 let section = section_of(target);
                 let mut damaged = candidate;
                 assert!(damaged.corrupt_section(section, 1000 + round));
-                match service.publish(damaged) {
+                match publisher.publish(damaged) {
                     Err(PublishError::Corrupt(report)) => {
                         assert_eq!(report.damaged, vec![section], "round {round}")
                     }
@@ -229,13 +229,13 @@ fn run_chaos(n_readers: usize) -> (Vec<(u64, usize, u64)>, popan_spatial::Sectio
             }
             Some(Fault::PublishStall) => pending = Some(candidate),
             Some(Fault::RejectEpoch) => {
-                service.quarantine(&candidate);
+                publisher.quarantine(&candidate);
             }
             Some(other) => panic!("not a query-tier fault: {other:?}"),
         }
-        assert_eq!(service.epoch(), per_round[(round - 1) as usize].0);
+        assert_eq!(publisher.epoch(), per_round[(round - 1) as usize].0);
         barrier.wait(); // round starts: readers sync + query
-        barrier.wait(); // round ends: safe to mutate the service
+        barrier.wait(); // round ends: safe to mutate the publisher
     }
     let mut merged = Vec::new();
     for h in handles {
@@ -247,28 +247,28 @@ fn run_chaos(n_readers: usize) -> (Vec<(u64, usize, u64)>, popan_spatial::Sectio
     // Recovery: flush the stall (if the plan left one) and publish the
     // final clean candidate.
     if let Some(stalled) = pending.take() {
-        service
+        publisher
             .publish(stalled)
             .expect("stalled candidate is pristine");
     }
-    service
+    publisher
         .publish(round_snapshot(FINAL_CONTENT))
         .expect("recovery publish");
-    assert_eq!(service.epoch(), final_epoch);
+    assert_eq!(publisher.epoch(), final_epoch);
 
     // Health reflects the plan exactly: three corrupt + one forced.
-    let health = service.health();
+    let health = publisher.health();
     assert_eq!(health.last_good_epoch, final_epoch);
     assert_eq!(health.rejected, 4);
     assert_eq!(health.quarantined, 4);
-    let causes: Vec<bool> = service
+    let causes: Vec<bool> = publisher
         .quarantine_log()
         .iter()
         .map(|e| matches!(e.cause, QuarantineCause::Corrupt(_)))
         .collect();
     assert_eq!(causes, vec![true, true, false, true]);
 
-    let mut reader = service.reader();
+    let mut reader = publisher.subscribe();
     let served = reader.current();
     served.verify().expect("recovered snapshot verifies");
     (merged, served.digests())
@@ -287,7 +287,7 @@ fn chaos_rounds_serve_only_last_good_and_recover_byte_identically() {
     assert_eq!(plan, built);
 
     // Invariant 2's oracle: answer every round from the simulated
-    // last-good snapshot, serially, no service involved.
+    // last-good snapshot, serially, no publisher involved.
     let (per_round, _) = simulate(&plan);
     let mut expected = Vec::new();
     for round in 1..=ROUNDS {

@@ -35,12 +35,6 @@
 use crate::node_stats::{LeafRecord, OccupancyCensus};
 use popan_geom::{Aabb3, BoxN, Octant, Point2, Point3, PointN, Quadrant, Rect};
 
-// The Morton-radix bottom-up bulk path. A child module (kept in its own
-// file per the layout convention) so it can reach the arena's private
-// slot/leaf/census internals without widening their visibility.
-#[path = "bottomup.rs"]
-pub(crate) mod bottomup;
-
 /// Sentinel for "no spill vector attached".
 const NO_SPILL: u32 = u32::MAX;
 
@@ -299,51 +293,6 @@ impl<P: Copy + Default + PartialEq> LeafPool<P> {
                 .resize(self.slab.len() + self.stride, P::default());
             (self.bufs.len() - 1) as u32
         }
-    }
-
-    /// Allocates a leaf buffer holding exactly `pts` — the bottom-up
-    /// builder's leaf emitter: one slab slice copy instead of per-point
-    /// `push` calls. Runs too large for a stride (coincident piles,
-    /// max-depth leaves) take the general push path and spill as usual.
-    fn alloc_filled(&mut self, pts: &[P]) -> u32 {
-        if pts.len() > self.stride {
-            let id = self.alloc();
-            for &p in pts {
-                self.push(id, p);
-            }
-            return id;
-        }
-        if let Some(id) = self.free.pop() {
-            let base = id as usize * self.stride;
-            self.bufs[id as usize].len = pts.len() as u32;
-            self.slab[base..base + pts.len()].copy_from_slice(pts);
-            id
-        } else {
-            let id = self.bufs.len() as u32;
-            self.bufs.push(LeafBuf {
-                len: pts.len() as u32,
-                spill: NO_SPILL,
-            });
-            debug_assert_eq!(self.slab.len(), id as usize * self.stride);
-            // Manual pushes, not `extend_from_slice` + `resize`: most
-            // leaves are a handful of points, where two `memcpy`
-            // dispatches cost more than the copies themselves.
-            self.slab.reserve(self.stride);
-            for &p in pts {
-                self.slab.push(p);
-            }
-            for _ in pts.len()..self.stride {
-                self.slab.push(P::default());
-            }
-            id
-        }
-    }
-
-    /// Pre-reserves room for `extra` more buffers (bulk-build hint, so
-    /// the slab doesn't re-copy itself through doubling growth).
-    fn reserve(&mut self, extra: usize) {
-        self.bufs.reserve(extra);
-        self.slab.reserve(extra * self.stride);
     }
 
     /// Frees a buffer (and detaches + recycles its spill vector).
@@ -763,11 +712,9 @@ impl<D: Decomposition> ArenaTree<D> {
     }
 
     /// Allocates `BRANCHING` contiguous child slots *without* leaf
-    /// buffers — for the bottom-up builder, which knows before writing a
-    /// child whether it will be a leaf or split again, and so skips the
-    /// alloc-then-free churn `alloc_block` would pay on every internal
-    /// child. Every slot of the block must be written before the tree is
-    /// used; the placeholder is never a live node.
+    /// buffers: the slot half of [`ArenaTree::alloc_block`], which
+    /// writes every slot of the block before the tree is used — the
+    /// placeholder is never a live node.
     #[inline]
     fn alloc_block_bare(&mut self) -> u32 {
         if let Some(b) = self.free_blocks.pop() {

@@ -11,7 +11,7 @@
 
 use crate::arena::{ArenaTree, BinDecomp};
 use crate::node_stats::{DepthOccupancyTable, LeafRecord, OccupancyInstrumented, OccupancyProfile};
-use crate::pr_quadtree::TreeError;
+use crate::pr_quadtree::{validate_points, TreeError};
 use popan_geom::{Point2, Rect};
 
 /// Default depth limit. A bintree halves area every *two* levels, so it
@@ -45,30 +45,7 @@ impl Bintree {
         points: impl IntoIterator<Item = Point2>,
     ) -> Result<Self, TreeError> {
         let mut t = Self::new(region, capacity)?;
-        let mut pts = Vec::new();
-        for p in points {
-            if !p.is_finite() {
-                return Err(TreeError::NonFinitePoint);
-            }
-            if !t.region().contains(&p) {
-                return Err(TreeError::OutOfRegion { point: p });
-            }
-            pts.push(p);
-        }
-        t.tree.bulk_fill(pts);
-        Ok(t)
-    }
-
-    /// Builds via the Morton-radix bottom-up bulk path — bit-identical
-    /// to [`Bintree::build`], with zero per-point descent on grid-exact
-    /// regions (see `popan_geom::morton::morton_grid_exact`).
-    pub fn build_bottomup(
-        region: Rect,
-        capacity: usize,
-        points: impl IntoIterator<Item = Point2>,
-    ) -> Result<Self, TreeError> {
-        let mut t = Self::new(region, capacity)?;
-        t.tree.bulk_fill_bottomup(points.into_iter().collect())?;
+        t.tree.bulk_fill(validate_points(&region, points)?);
         Ok(t)
     }
 

@@ -1,15 +1,16 @@
-//! Morton-radix bottom-up bulk construction (DESIGN.md §15).
+//! Morton-radix direct freeze (DESIGN.md §15).
 //!
-//! The stable-partition bulk path ([`ArenaTree::bulk_fill`]) still
-//! streams every point once per tree level, classifying against f64
-//! midpoints. This module removes the per-level floating-point work
-//! entirely for *grid-exact* regions
-//! ([`popan_geom::morton::morton_grid_exact`]): quantize each point to
-//! its Morton key once, LSD-radix-sort the keys (no comparison sort),
-//! and then emit leaves and internal nodes in one linear walk over the
-//! sorted order — every node's child boundaries are found by digit
-//! search on the sorted keys, so no point is ever touched to descend,
-//! classify, or scatter again.
+//! [`LinearQuadtree::from_points_direct`] freezes a point multiset
+//! straight into the linear form, skipping the pointer tree. On
+//! *grid-exact* regions ([`popan_geom::morton::morton_grid_exact`]) it
+//! quantizes each point to its Morton key once, LSD-radix-sorts the keys
+//! (no comparison sort), and then emits the leaves in one walk over the
+//! sorted order: every node's child boundaries are found by digit search
+//! on the sorted keys, so no point is ever touched to descend, classify,
+//! or scatter again. Children are visited in digit order, which *is*
+//! ascending Morton order, so the leaf slab comes out pre-sorted and
+//! goes straight into [`LinearQuadtree::assemble`], the freeze tail
+//! `from_tree` shares.
 //!
 //! The sort moves one packed `u64` per point, never point coordinates:
 //! the key is truncated to the levels three 11-bit LSD passes can
@@ -20,16 +21,13 @@
 //! in the quantization loop itself (bucket counts are order-independent),
 //! which also validates each point, so every scatter pass is a pure
 //! read-and-bucket sweep and single-bucket passes are skipped outright.
-//! Runs the truncated key cannot separate fall back to geometric
-//! recursion (see below). One gather afterwards materializes the points
-//! in sorted order, so leaf emission is a slab slice copy
-//! (`LeafPool::alloc_filled` / `LinearBuilder::push_points`) instead of
-//! per-point pushes.
+//! One gather afterwards materializes the points in sorted order, so each
+//! leaf's points are one slice copy (`LinearBuilder::push_points`).
 //!
 //! # Bit-identity
 //!
-//! The result is observationally identical to [`ArenaTree::bulk_fill`]
-//! (and therefore to sequential insertion and the boxed oracle):
+//! The result is slab-for-slab identical to `PrQuadtree::build` +
+//! [`LinearQuadtree::from_tree`]:
 //!
 //! * On a grid-exact region the Morton digit at level `d` *is* the
 //!   geometric `>= mid` comparison, bit for bit, so digit partitioning
@@ -41,81 +39,29 @@
 //!   round the same exact value — identical bits in every case.
 //! * The split decision at every node — `n > capacity`, `depth <
 //!   max_depth`, not all points coincident — is a pure function of the
-//!   run, evaluated identically here and in `bulk_fill`.
+//!   run, evaluated identically here and in `ArenaTree::bulk_fill`.
 //! * The LSD passes are stable, so equal keys keep insertion order;
 //!   leaves whose runs mix distinct keys are re-ordered by original
 //!   index at emission. Either way every leaf holds its points in
-//!   insertion order, like the reference trees.
+//!   insertion order, like the pointer tree.
 //! * Runs whose truncated keys are entirely equal — points closer than
 //!   one quantum of the resolved levels, or piles the truncation simply
-//!   cannot separate — fall back to the geometric `bulk_rec` for that
-//!   subtree; non-exact regions fall back to `bulk_fill` wholesale.
-//!   Both fallbacks are the reference semantics, so bit-identity never
-//!   depends on the certificate or the truncation depth — only speed
-//!   does.
+//!   cannot separate — take the pointer-tree route for that subtree: a
+//!   fresh arena tree over the run's block, filled by `bulk_fill` and
+//!   emitted through `from_tree`'s leaf helper. Non-exact regions take
+//!   the pointer-tree route wholesale. Both are the reference semantics,
+//!   so bit-identity never depends on the certificate or the truncation
+//!   depth — only speed does.
 //!
-//! The occupancy census is not maintained per transition on this path:
-//! final leaves are tallied into a local `(depth, occupancy)` table and
-//! applied to the [`OccupancyCensus`] in one pass at the end — counter
-//! arithmetic is commutative, so the final state equals `bulk_fill`'s
-//! exactly (the equivalence suites compare it directly).
-//!
-//! The same recursion drives [`LinearQuadtree::from_points_direct`],
-//! which freezes straight into the linear form: children are emitted in
-//! digit order, which *is* ascending Morton order, so the leaf slab
-//! comes out pre-sorted and the arena is skipped entirely. Leaf rects
-//! there are derived from the Morton prefix in closed form (exact on a
-//! grid-exact region, see [`leaf_block`]) instead of threading halved
-//! rects through the recursion.
+//! Leaf rects are derived from the Morton prefix in closed form (exact
+//! on a grid-exact region, see [`Freeze::block`]) instead of threading
+//! halved rects through the recursion.
 
-use super::{ArenaTree, BinDecomp, Decomposition, QuadDecomp, Slot, MAX_BULK_BRANCHING, ROOT};
+use crate::arena::{ArenaTree, QuadDecomp};
 use crate::linear_quadtree::{FreezeError, LinearBuilder, LinearQuadtree};
-use crate::node_stats::OccupancyCensus;
 use crate::pr_quadtree::TreeError;
 use popan_geom::morton;
 use popan_geom::{Point2, Rect};
-
-/// A regular decomposition whose descent is mirrored by Morton key
-/// digits: level `d`'s child index is `DIGIT_BITS` bits of the key,
-/// most significant first. Only meaningful on grid-exact regions —
-/// callers gate on [`morton::morton_grid_exact`] and fall back to the
-/// geometric bulk path otherwise.
-pub(crate) trait MortonDecomp: Decomposition<Point = Point2, Block = Rect> {
-    /// Bits per level in the key (`log2(BRANCHING)`).
-    const DIGIT_BITS: u32;
-    /// Number of levels the key resolves; runs still unseparated at
-    /// this depth fall back to geometric recursion.
-    const KEY_LEVELS: u32;
-    /// The sort key of `p` over the quantizer's region.
-    fn key_of(q: &Quantizer, p: &Point2) -> u64;
-}
-
-impl MortonDecomp for QuadDecomp {
-    const DIGIT_BITS: u32 = 2;
-    const KEY_LEVELS: u32 = morton::MORTON_BITS;
-
-    #[inline]
-    fn key_of(q: &Quantizer, p: &Point2) -> u64 {
-        // Standard interleave: level d's digit is (y-bit, x-bit), which
-        // is exactly `classify`'s `y*2 + x` child index.
-        let (qx, qy) = q.cell(p);
-        morton::morton2(qx, qy)
-    }
-}
-
-impl MortonDecomp for BinDecomp {
-    const DIGIT_BITS: u32 = 1;
-    const KEY_LEVELS: u32 = 2 * morton::MORTON_BITS;
-
-    #[inline]
-    fn key_of(q: &Quantizer, p: &Point2) -> u64 {
-        // Transposed interleave (x in the odd/high bits): the bintree
-        // splits x at even depths, so the key's bit sequence from the
-        // top must be x₃₀, y₃₀, x₂₉, y₂₉, …
-        let (qx, qy) = q.cell(p);
-        morton::morton2(qy, qx)
-    }
-}
 
 /// Division-free quantization over a grid-exact region, bit-identical
 /// to [`morton::morton_of_point`]: the certificate guarantees each axis
@@ -156,10 +102,10 @@ impl Quantizer {
 }
 
 /// Index of the first element of `keys` (sorted; all bits above
-/// `shift + DIGIT_BITS` uniform across the run) whose digit at `shift`
-/// exceeds `c` — the child boundary search. Works on packed elements
-/// too: the index bits sit below every digit shift. Tiny runs scan
-/// linearly; larger ones binary-search.
+/// `shift + 2` uniform across the run) whose digit at `shift` exceeds
+/// `c` — the child boundary search. Works on packed elements too: the
+/// index bits sit below every digit shift. Tiny runs scan linearly;
+/// larger ones binary-search.
 #[inline]
 fn digit_end(keys: &[u64], shift: u32, mask: u64, c: u64) -> usize {
     if keys.len() <= 16 {
@@ -192,8 +138,8 @@ const PASS_RADIX: usize = 1 << PASS_BITS;
 /// restored through the index bits.
 struct Sorted {
     /// Number of levels the sorted (truncated) keys resolve — runs
-    /// still unseparated at this depth go to the geometric reference
-    /// recursion, exactly like sub-quantum runs. Sixteen quadtree
+    /// still unseparated at this depth go to the pointer-tree
+    /// fallback, exactly like sub-quantum runs. Sixteen quadtree
     /// levels at the bench scale: a run needing a deeper split keeps
     /// more than `capacity` points inside a 2^-16-sided cell —
     /// implausible outside adversarial clusters.
@@ -214,13 +160,10 @@ struct Sorted {
     /// Reusable buffers for per-leaf insertion-order restoration.
     perm: Vec<u32>,
     tmp: Vec<Point2>,
-    // Reusable buffers for the geometric fallback on sub-quantum runs.
-    fb_pts: Vec<Point2>,
-    fb_scratch: Vec<Point2>,
 }
 
 impl Sorted {
-    /// Quantizes and LSD-radix-sorts the points by Morton key.
+    /// Quantizes and LSD-radix-sorts the points by quadtree Morton key.
     ///
     /// Each element is one packed `u64`: the top `key_bits` hold the
     /// key's leading digits, the low bits the insertion index. Sorting
@@ -238,26 +181,25 @@ impl Sorted {
     /// in the region — is the identity permutation (stability) and is
     /// skipped.
     /// Validation (finite, in-region) is fused into the same loop — the
-    /// bulk path never takes a separate validation pass over the input.
-    /// Errors surface before any output structure exists, in the same
-    /// first-offender order as `validate_points`.
-    fn build<D: MortonDecomp>(region: &Rect, points: Vec<Point2>) -> Result<Sorted, TreeError> {
+    /// direct freeze never takes a separate validation pass over the
+    /// input. Errors surface before any output structure exists, in the
+    /// same first-offender order as `validate_points`.
+    fn build(region: &Rect, points: Vec<Point2>) -> Result<Sorted, TreeError> {
         let n = points.len();
         let q = Quantizer::new(region);
         let idx_bits = (usize::BITS - n.saturating_sub(1).leading_zeros()).max(1);
-        let full_bits = D::DIGIT_BITS * D::KEY_LEVELS;
         // Resolve at most three passes' worth of key digits. Deeper
         // resolution buys nothing at realistic densities — a run still
         // unsplit 16 quadtree levels down needs more than `capacity`
         // points inside a 2^-16-sided cell — and every extra pass is a
         // full rewrite of the array. The rare too-deep run takes the
-        // geometric reference recursion, same as sub-quantum runs.
-        let trunc_levels = ((64 - idx_bits) / D::DIGIT_BITS)
-            .min(D::KEY_LEVELS)
-            .min(3 * PASS_BITS as u32 / D::DIGIT_BITS);
-        let key_bits = trunc_levels * D::DIGIT_BITS;
+        // pointer-tree fallback, same as sub-quantum runs.
+        let trunc_levels = ((64 - idx_bits) / 2)
+            .min(morton::MORTON_BITS)
+            .min(3 * PASS_BITS as u32 / 2);
+        let key_bits = trunc_levels * 2;
         let key_shift = 64 - key_bits;
-        let drop = full_bits - key_bits;
+        let drop = 2 * morton::MORTON_BITS - key_bits;
         debug_assert_eq!(key_bits.div_ceil(PASS_BITS as u32), 3);
         let mut a: Vec<u64> = Vec::with_capacity(n);
         // All three pass histograms ride along with the quantization
@@ -274,7 +216,11 @@ impl Sorted {
                 if !region.contains(p) {
                     return Err(TreeError::OutOfRegion { point: *p });
                 }
-                let v = ((D::key_of(&q, p) >> drop) << key_shift) | i as u64;
+                // Standard interleave: level d's digit is (y-bit,
+                // x-bit), which is exactly `classify`'s `y*2 + x` child
+                // index.
+                let (qx, qy) = q.cell(p);
+                let v = ((morton::morton2(qx, qy) >> drop) << key_shift) | i as u64;
                 let x = (v >> key_shift) as usize;
                 h0[x & (PASS_RADIX - 1)] += 1;
                 h1[(x >> PASS_BITS) & (PASS_RADIX - 1)] += 1;
@@ -322,8 +268,6 @@ impl Sorted {
             points,
             perm: Vec::new(),
             tmp: Vec::new(),
-            fb_pts: Vec::new(),
-            fb_scratch: Vec::new(),
         })
     }
 
@@ -358,335 +302,6 @@ impl Sorted {
     }
 }
 
-/// Local `(depth, occupancy)` leaf tally, applied to the census in one
-/// pass after emission: one bulk [`OccupancyCensus::leaves_added`] per
-/// occupied class instead of two counter-structure updates per leaf.
-///
-/// The common classes — occupancy at most `capacity`, depth within the
-/// key resolution — live in one flat depth-major array, so the per-leaf
-/// hot path is a single indexed increment. Oversized leaves (coincident
-/// piles, `max_depth` spills) and depths beyond the flat rows go to the
-/// `overflow` list, which `apply` replays one entry at a time.
-struct CensusTally {
-    stride: usize,
-    flat: Vec<u64>,
-    overflow: Vec<(u32, usize)>,
-}
-
-/// Emission depth never exceeds the key resolution (33 bintree levels),
-/// so the flat tally carries a fixed number of rows.
-const TALLY_DEPTHS: usize = 35;
-
-impl CensusTally {
-    fn new(capacity: usize) -> CensusTally {
-        // Oversized capacities would make the flat table itself the
-        // cost; beyond this the overflow path absorbs the (then few)
-        // leaves.
-        let stride = (capacity + 2).min(130);
-        CensusTally {
-            stride,
-            flat: vec![0; TALLY_DEPTHS * stride],
-            overflow: Vec::new(),
-        }
-    }
-
-    #[inline]
-    fn leaf(&mut self, depth: u32, occupancy: usize) {
-        let slot = depth as usize * self.stride + occupancy;
-        if occupancy < self.stride && slot < self.flat.len() {
-            self.flat[slot] += 1;
-        } else {
-            self.overflow.push((depth, occupancy));
-        }
-    }
-
-    fn apply(&self, census: &mut OccupancyCensus) {
-        for (d, row) in self.flat.chunks_exact(self.stride).enumerate() {
-            for (occ, &count) in row.iter().enumerate() {
-                if count > 0 {
-                    census.leaves_added(d as u32, occ, count);
-                }
-            }
-        }
-        for &(depth, occ) in &self.overflow {
-            census.leaves_added(depth, occ, 1);
-        }
-    }
-}
-
-/// What the PR split rule says about a run.
-enum Action {
-    /// Emit a leaf: at/under capacity, at `max_depth`, or coincident.
-    Leaf,
-    /// Keys are uniform but points differ — the run separates below
-    /// the key resolution; geometric recursion takes the subtree.
-    Fallback,
-    /// Split into children by the next key digit.
-    Split,
-}
-
-impl<D: MortonDecomp> ArenaTree<D> {
-    /// Bottom-up Morton bulk fill: observationally identical to
-    /// [`ArenaTree::bulk_fill`] (which is itself bit-identical to
-    /// sequential insertion), reached through a radix build that never
-    /// descends per point. Non-grid-exact regions fall back to
-    /// `bulk_fill` wholesale.
-    ///
-    /// Point validation (finite, in-region) is fused into the
-    /// quantization pass; on error the tree is left untouched (and
-    /// still empty).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the tree is not empty, in every build — same
-    /// unconditional precondition as `bulk_fill`.
-    pub(crate) fn bulk_fill_bottomup(&mut self, points: Vec<Point2>) -> Result<(), TreeError> {
-        assert!(self.is_empty(), "bulk_fill_bottomup requires an empty tree");
-        let region = self.region;
-        if D::BRANCHING > MAX_BULK_BRANCHING
-            || points.len() >= u32::MAX as usize
-            || !morton::morton_grid_exact(&region)
-        {
-            for p in &points {
-                if !p.is_finite() {
-                    return Err(TreeError::NonFinitePoint);
-                }
-                if !region.contains(p) {
-                    return Err(TreeError::OutOfRegion { point: *p });
-                }
-            }
-            self.bulk_fill(points);
-            return Ok(());
-        }
-        let n = points.len();
-        if n == 0 {
-            return Ok(());
-        }
-        let mut s = Sorted::build::<D>(&region, points)?;
-        self.len = n;
-        // The root differs from every other node: `ArenaTree::new` made
-        // it a live, census-counted empty leaf. Splitting it retires
-        // that leaf exactly as `bulk_rec`'s split would; the subtree
-        // below is then emitted through the churn-free path.
-        match self.decide(&s, 0, 0, n) {
-            Action::Leaf => {
-                let Slot::Leaf(buf) = self.slots[ROOT as usize] else {
-                    unreachable!("fresh tree root is a leaf");
-                };
-                for &p in s.run_slice(0, n) {
-                    self.leaves.push(buf, p);
-                }
-                self.census.occupancy_changed(0, 0, n);
-            }
-            Action::Fallback => self.emit_fallback(&mut s, ROOT, region, 0, 0, n),
-            Action::Split => {
-                let Slot::Leaf(buf) = self.slots[ROOT as usize] else {
-                    unreachable!("fresh tree root is a leaf");
-                };
-                self.leaves.free(buf);
-                self.census.leaf_removed(0, 0);
-                // Growth hints; ~3 leaves per capacity-full of points
-                // comfortably covers the sparse-quadrant empties.
-                let est_leaves = (n / self.capacity).saturating_mul(3).max(64);
-                self.leaves.reserve(est_leaves);
-                self.slots.reserve(est_leaves + est_leaves / 2);
-                let mut tally = CensusTally::new(self.capacity);
-                self.fill_split(&mut s, &mut tally, ROOT, 0, 0, 0, n);
-                tally.apply(&mut self.census);
-            }
-        }
-        Ok(())
-    }
-
-    /// The split rule on a run — the same decision `bulk_rec` makes,
-    /// with the coincident check pre-filtered by key uniformity (equal
-    /// points have equal keys). The run is sorted, so uniformity is the
-    /// O(1) first-equals-last comparison.
-    #[inline]
-    fn decide(&self, s: &Sorted, depth: u32, lo: usize, hi: usize) -> Action {
-        if hi - lo <= self.capacity || depth >= self.max_depth {
-            return Action::Leaf;
-        }
-        if (s.a[lo] ^ s.a[hi - 1]) >> s.key_shift != 0 {
-            return Action::Split;
-        }
-        if s.coincident(lo, hi) {
-            Action::Leaf
-        } else {
-            Action::Fallback
-        }
-    }
-
-    /// Reconstructs the geometric block of the node addressed by the
-    /// top-down digit `prefix` at `depth`. Only the (rare) sub-quantum
-    /// fallback needs a block, so the hot path carries the integer
-    /// prefix instead of threading `Rect` math through every node.
-    fn block_of(&self, prefix: u64, depth: u32) -> Rect {
-        let mut block = self.region;
-        for d in 0..depth {
-            let shift = D::DIGIT_BITS * (depth - 1 - d);
-            let c = ((prefix >> shift) & ((1u64 << D::DIGIT_BITS) - 1)) as usize;
-            block = D::child_block(&block, d, c);
-        }
-        block
-    }
-
-    /// Writes `slot` as a fresh leaf holding run `[lo, hi)`. The leaf
-    /// buffer is allocated here — never provisionally for a child that
-    /// turns out to split — and filled with one slice copy; the leaf
-    /// lands in the tally as its final `(depth, occupancy)` class.
-    #[inline]
-    fn make_leaf(
-        &mut self,
-        s: &mut Sorted,
-        tally: &mut CensusTally,
-        slot: u32,
-        depth: u32,
-        lo: usize,
-        hi: usize,
-    ) {
-        let buf = self.leaves.alloc_filled(s.run_slice(lo, hi));
-        self.slots[slot as usize] = Slot::Leaf(buf);
-        tally.leaf(depth, hi - lo);
-    }
-
-    /// Writes `slot` as a fresh empty leaf and hands its sub-quantum
-    /// run (one below the key resolution) to the geometric bulk
-    /// recursion — the reference semantics. Census updates here are
-    /// direct (not tallied): `bulk_rec` maintains the census itself.
-    fn make_fallback(
-        &mut self,
-        s: &mut Sorted,
-        slot: u32,
-        prefix: u64,
-        depth: u32,
-        lo: usize,
-        hi: usize,
-    ) {
-        let buf = self.leaves.alloc();
-        self.slots[slot as usize] = Slot::Leaf(buf);
-        self.census.leaf_added(depth, 0);
-        let block = self.block_of(prefix, depth);
-        self.emit_fallback(s, slot, block, depth, lo, hi);
-    }
-
-    /// Geometric bulk recursion over run `[lo, hi)`, entered at a live
-    /// empty leaf `slot`. The run's keys are uniform, so the stable
-    /// sort left it in insertion order — gathered as-is.
-    fn emit_fallback(
-        &mut self,
-        s: &mut Sorted,
-        slot: u32,
-        block: Rect,
-        depth: u32,
-        lo: usize,
-        hi: usize,
-    ) {
-        let mut pts = std::mem::take(&mut s.fb_pts);
-        let mut scratch = std::mem::take(&mut s.fb_scratch);
-        pts.clear();
-        pts.extend_from_slice(&s.spts[lo..hi]);
-        scratch.clear();
-        scratch.resize(hi - lo, Point2::default());
-        self.bulk_rec(slot, block, depth, &mut pts, &mut scratch);
-        s.fb_pts = pts;
-        s.fb_scratch = scratch;
-    }
-
-    /// Writes `slot` as an internal node and fills its children from
-    /// the run's digit boundaries on the sorted keys. Children are
-    /// written directly as whatever `decide` says they are — no empty
-    /// leaves are ever allocated for nodes that split, so the per-node
-    /// cost is one bare slot-block plus the boundary searches.
-    #[allow(clippy::too_many_arguments)]
-    fn fill_split(
-        &mut self,
-        s: &mut Sorted,
-        tally: &mut CensusTally,
-        slot: u32,
-        prefix: u64,
-        depth: u32,
-        lo: usize,
-        hi: usize,
-    ) {
-        let base = self.alloc_block_bare();
-        self.slots[slot as usize] = Slot::Internal(base);
-        let shift = 64 - D::DIGIT_BITS * (depth + 1);
-        let mask = (1u64 << D::DIGIT_BITS) - 1;
-        // Child boundaries: most runs this deep are small, and one
-        // digit-counting sweep (a single load per element) beats four
-        // boundary searches; large runs binary-search per child.
-        debug_assert!(D::BRANCHING <= 4);
-        let mut counts = [0usize; 4];
-        let small = hi - lo <= 64;
-        if small {
-            for &v in &s.a[lo..hi] {
-                counts[((v >> shift) & mask) as usize] += 1;
-            }
-        }
-        let mut child_lo = lo;
-        for (c, &count) in counts.iter().enumerate().take(D::BRANCHING) {
-            let child_hi = if c + 1 == D::BRANCHING {
-                hi
-            } else if small {
-                child_lo + count
-            } else {
-                child_lo + digit_end(&s.a[child_lo..hi], shift, mask, c as u64)
-            };
-            self.fill_run(
-                s,
-                tally,
-                base + c as u32,
-                (prefix << D::DIGIT_BITS) | c as u64,
-                depth + 1,
-                child_lo,
-                child_hi,
-            );
-            child_lo = child_hi;
-        }
-    }
-
-    /// Fills the not-yet-written `slot` with the subtree of run
-    /// `[lo, hi)`.
-    #[allow(clippy::too_many_arguments)]
-    fn fill_run(
-        &mut self,
-        s: &mut Sorted,
-        tally: &mut CensusTally,
-        slot: u32,
-        prefix: u64,
-        depth: u32,
-        lo: usize,
-        hi: usize,
-    ) {
-        match self.decide(s, depth, lo, hi) {
-            Action::Leaf => self.make_leaf(s, tally, slot, depth, lo, hi),
-            Action::Fallback => self.make_fallback(s, slot, prefix, depth, lo, hi),
-            Action::Split => self.fill_split(s, tally, slot, prefix, depth, lo, hi),
-        }
-    }
-}
-
-/// The block of the quadtree node with locational `prefix` at `depth`,
-/// in closed form: decode the prefix to cell coordinates and scale by
-/// the exact per-axis cell size. On a grid-exact region (origin `0.0`,
-/// power-of-two sides) every value here is exact — the cell size
-/// `w / 2^depth` is an exponent shift and the cell coordinates have at
-/// most 31 significant bits, so each product is exact — and every bound
-/// of the recursive halving `child_block` performs is the same exact
-/// dyadic value, so the two constructions agree bit for bit (asserted
-/// by `leaf_block_matches_child_block_recursion_bit_for_bit`).
-#[cfg_attr(not(test), allow(dead_code))]
-fn leaf_block(region: &Rect, prefix: u64, depth: u32) -> Rect {
-    debug_assert!(depth <= morton::MORTON_BITS);
-    let (cx, cy) = morton::demorton2(prefix);
-    let (cx, cy) = (f64::from(cx), f64::from(cy));
-    let scale = (1u64 << depth) as f64;
-    let sx = region.width() / scale;
-    let sy = region.height() / scale;
-    Rect::from_bounds(cx * sx, cy * sy, (cx + 1.0) * sx, (cy + 1.0) * sy)
-}
-
 /// Errors from [`LinearQuadtree::from_points_direct`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum DirectFreezeError {
@@ -711,23 +326,50 @@ impl std::fmt::Display for DirectFreezeError {
 impl std::error::Error for DirectFreezeError {}
 
 /// Direct-freeze context: the sorted order plus the linear accumulator
-/// and the worst too-deep leaf depth seen (emission keeps going so the
-/// reported depth matches `from_tree`'s max over every offending leaf).
+/// (which also records too-deep leaves, so the reported depth matches
+/// `from_tree`'s max over every offending leaf).
 struct Freeze {
     s: Sorted,
     builder: LinearBuilder,
+    region: Rect,
     capacity: usize,
     max_depth: u32,
-    too_deep: Option<u32>,
     /// Per-depth cell sizes (`w / 2^d`, `h / 2^d`), precomputed by
     /// successive exact halving so [`Freeze::block`] needs no division.
     step: [(f64, f64); (morton::MORTON_BITS + 1) as usize],
 }
 
 impl Freeze {
-    /// The block of the node with locational `prefix` at `depth` — the
-    /// closed form of [`leaf_block`], with the per-depth cell size read
-    /// from the precomputed table.
+    fn new(s: Sorted, region: Rect, capacity: usize, max_depth: u32) -> Freeze {
+        // The per-depth cell-size table: exact successive halvings of
+        // the (power-of-two) side lengths.
+        let mut step = [(0.0, 0.0); (morton::MORTON_BITS + 1) as usize];
+        let (mut sx, mut sy) = (region.width(), region.height());
+        for s in step.iter_mut() {
+            *s = (sx, sy);
+            sx *= 0.5;
+            sy *= 0.5;
+        }
+        Freeze {
+            s,
+            builder: LinearBuilder::default(),
+            region,
+            capacity,
+            max_depth,
+            step,
+        }
+    }
+
+    /// The block of the node with locational `prefix` at `depth`, in
+    /// closed form: decode the prefix to cell coordinates and scale by
+    /// the exact per-axis cell size. On a grid-exact region (origin
+    /// `0.0`, power-of-two sides) every value here is exact — the cell
+    /// size `w / 2^depth` is an exponent shift and the cell coordinates
+    /// have at most 31 significant bits, so each product is exact — and
+    /// every bound of the recursive halving `child_block` performs is
+    /// the same exact dyadic value, so the two constructions agree bit
+    /// for bit (asserted by
+    /// `freeze_block_matches_child_block_recursion_bit_for_bit`).
     fn block(&self, prefix: u64, depth: u32) -> Rect {
         let (cx, cy) = morton::demorton2(prefix);
         let (cx, cy) = (f64::from(cx), f64::from(cy));
@@ -736,28 +378,14 @@ impl Freeze {
     }
 }
 
-/// The per-depth cell-size table for `region`: exact successive
-/// halvings of the (power-of-two) side lengths.
-fn step_table(region: &Rect) -> [(f64, f64); (morton::MORTON_BITS + 1) as usize] {
-    let mut step = [(0.0, 0.0); (morton::MORTON_BITS + 1) as usize];
-    let (mut sx, mut sy) = (region.width(), region.height());
-    for s in step.iter_mut() {
-        *s = (sx, sy);
-        sx *= 0.5;
-        sy *= 0.5;
-    }
-    step
-}
-
 impl LinearQuadtree {
     /// Freezes a point multiset straight into linear form — the arena
     /// is skipped entirely. Bit-identical to
     /// `PrQuadtree::build` + [`LinearQuadtree::from_tree`]
     /// (the differential suites pin the slabs and digests), but built
     /// bottom-up: one Morton quantization pass, one stable LSD radix
-    /// sort, and leaves emitted already in ascending code order, so the
-    /// `from_tree` sort disappears too. Non-grid-exact regions take the
-    /// pointer-tree route internally.
+    /// sort, and leaves emitted already in ascending code order.
+    /// Non-grid-exact regions take the pointer-tree route internally.
     pub fn from_points_direct(
         region: Rect,
         capacity: usize,
@@ -780,26 +408,12 @@ impl LinearQuadtree {
             return LinearQuadtree::from_tree(&tree).map_err(DirectFreezeError::Freeze);
         }
         let n = points.len();
-        let mut fz = Freeze {
-            s: Sorted::build::<QuadDecomp>(&region, points).map_err(DirectFreezeError::Tree)?,
-            builder: LinearBuilder::default(),
-            capacity,
-            max_depth,
-            too_deep: None,
-            step: step_table(&region),
-        };
+        let s = Sorted::build(&region, points).map_err(DirectFreezeError::Tree)?;
+        let mut fz = Freeze::new(s, region, capacity, max_depth);
         fz.builder
             .reserve((n / capacity).saturating_mul(3).max(64), n);
         fz.emit(0, 0, 0, n);
-        if let Some(depth) = fz.too_deep {
-            return Err(DirectFreezeError::Freeze(
-                FreezeError::DepthExceedsMortonBits {
-                    depth,
-                    max: morton::MORTON_BITS,
-                },
-            ));
-        }
-        Ok(LinearQuadtree::assemble(fz.builder, region))
+        LinearQuadtree::assemble(fz.builder, region).map_err(DirectFreezeError::Freeze)
     }
 }
 
@@ -822,15 +436,23 @@ impl Freeze {
         if depth == self.s.trunc_levels {
             // The run still splits past the sorted key resolution —
             // its truncated keys are all equal (it shares every
-            // resolved digit), so it is in insertion order. Hand the
-            // subtree to the geometric reference recursion, like the
-            // arena path's sub-quantum fallback.
-            let block = self.block(prefix, depth);
-            let mut pts = std::mem::take(&mut self.s.fb_pts);
-            pts.clear();
-            pts.extend_from_slice(&self.s.spts[lo..hi]);
-            self.emit_geometric(depth, prefix, block, &pts);
-            self.s.fb_pts = pts;
+            // resolved digit), so it is in insertion order. The
+            // pointer-tree route takes the subtree: a fresh arena tree
+            // over the run's block, emitted through `from_tree`'s leaf
+            // helper, so the split rule and the too-deep check each
+            // live in one place.
+            let mut sub: ArenaTree<QuadDecomp> = ArenaTree::new(
+                self.block(prefix, depth),
+                self.capacity,
+                self.max_depth - depth,
+            );
+            sub.bulk_fill(self.s.spts[lo..hi].to_vec());
+            let Freeze {
+                builder, region, ..
+            } = self;
+            sub.for_each_leaf(&mut |block, d, pts| {
+                builder.push_tree_leaf(region, *block, depth + d, pts)
+            });
             return;
         }
         let shift = 64 - 2 * (depth + 1);
@@ -863,75 +485,12 @@ impl Freeze {
         let Freeze { s, builder, .. } = self;
         builder.push_points(s.run_slice(lo, hi));
     }
-
-    /// Geometric reference recursion for a run past the sorted key
-    /// resolution: stable 4-way partition per level (so leaves stay in
-    /// insertion order), children visited in Morton order, blocks
-    /// derived by the same halving `from_tree` performs. Leaves that
-    /// split past the Morton code floor are recorded as too deep, like
-    /// `from_tree`'s error path.
-    fn emit_geometric(&mut self, depth: u32, prefix: u64, block: Rect, pts: &[Point2]) {
-        let n = pts.len();
-        let coincident = n > 0 && pts[1..].iter().all(|q| *q == pts[0]);
-        if n <= self.capacity || depth >= self.max_depth || coincident {
-            let code_lo = prefix << (2 * (morton::MORTON_BITS - depth));
-            self.builder.begin_leaf(code_lo, depth, block);
-            self.builder.push_points(pts);
-            return;
-        }
-        if depth == morton::MORTON_BITS {
-            let d = would_be_depth(block, depth, pts, self.capacity, self.max_depth);
-            self.too_deep = Some(self.too_deep.map_or(d, |cur| cur.max(d)));
-            return;
-        }
-        let mut parts: [Vec<Point2>; 4] = Default::default();
-        let splitter = QuadDecomp::splitter(&block, depth);
-        for &p in pts {
-            parts[QuadDecomp::classify(&splitter, depth, &p)].push(p);
-        }
-        for (c, part) in parts.iter().enumerate() {
-            self.emit_geometric(
-                depth + 1,
-                (prefix << 2) | c as u64,
-                QuadDecomp::child_block(&block, depth, c),
-                part,
-            );
-        }
-    }
-}
-
-/// The deepest leaf the PR split rule produces for `pts` under `block`
-/// at `depth` — the cold error path that reproduces `from_tree`'s
-/// reported depth without building the tree. Bounded by `max_depth`,
-/// like the tree itself.
-fn would_be_depth(block: Rect, depth: u32, pts: &[Point2], capacity: usize, max_depth: u32) -> u32 {
-    let n = pts.len();
-    let coincident = n > 0 && pts[1..].iter().all(|q| *q == pts[0]);
-    if n <= capacity || depth >= max_depth || coincident {
-        return depth;
-    }
-    let mut parts: [Vec<Point2>; 4] = Default::default();
-    let splitter = QuadDecomp::splitter(&block, depth);
-    for &p in pts {
-        parts[QuadDecomp::classify(&splitter, depth, &p)].push(p);
-    }
-    (0..4)
-        .map(|c| {
-            would_be_depth(
-                QuadDecomp::child_block(&block, depth, c),
-                depth + 1,
-                &parts[c],
-                capacity,
-                max_depth,
-            )
-        })
-        .max()
-        .expect("four children")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::Decomposition;
     use crate::pr_quadtree::PrQuadtree;
 
     fn pt(x: f64, y: f64) -> Point2 {
@@ -981,12 +540,13 @@ mod tests {
     }
 
     #[test]
-    fn leaf_block_matches_child_block_recursion_bit_for_bit() {
+    fn freeze_block_matches_child_block_recursion_bit_for_bit() {
         for region in [
             Rect::unit(),
             Rect::from_bounds(0.0, 0.0, 4.0, 4.0),
             Rect::from_bounds(0.0, 0.0, 0.25, 16.0),
         ] {
+            let fz = Freeze::new(Sorted::build(&region, Vec::new()).unwrap(), region, 1, 32);
             let mut state = 0xdead_beefu64;
             for _ in 0..500 {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -996,7 +556,7 @@ mod tests {
                 } else {
                     (state >> 2) & ((1u64 << (2 * depth)) - 1)
                 };
-                let direct = leaf_block(&region, prefix, depth);
+                let direct = fz.block(prefix, depth);
                 let mut walked = region;
                 for d in 0..depth {
                     let c = ((prefix >> (2 * (depth - 1 - d))) & 0b11) as usize;
@@ -1012,74 +572,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    fn assert_trees_identical<D: Decomposition>(a: &ArenaTree<D>, b: &ArenaTree<D>, tag: &str) {
-        assert_eq!(a.len(), b.len(), "{tag}: len");
-        assert_eq!(a.node_count(), b.node_count(), "{tag}: node_count");
-        assert_eq!(a.census(), b.census(), "{tag}: census");
-        let mut la = Vec::new();
-        a.for_each_leaf(&mut |_, d, ps| la.push((d, ps.to_vec())));
-        let mut lb = Vec::new();
-        b.for_each_leaf(&mut |_, d, ps| lb.push((d, ps.to_vec())));
-        assert_eq!(la, lb, "{tag}: leaves");
-    }
-
-    #[test]
-    fn quad_bottomup_matches_bulk_fill() {
-        let pts = mixed_points();
-        for (capacity, max_depth) in [(1, 32), (4, 32), (2, 3), (8, 0), (1, 31)] {
-            let mut bulk: ArenaTree<QuadDecomp> = ArenaTree::new(Rect::unit(), capacity, max_depth);
-            bulk.bulk_fill(pts.clone());
-            let mut bu: ArenaTree<QuadDecomp> = ArenaTree::new(Rect::unit(), capacity, max_depth);
-            bu.bulk_fill_bottomup(pts.clone()).unwrap();
-            bu.check_invariants();
-            assert_trees_identical(&bulk, &bu, &format!("m={capacity} d={max_depth}"));
-        }
-    }
-
-    #[test]
-    fn bintree_bottomup_matches_bulk_fill() {
-        let pts = mixed_points();
-        for (capacity, max_depth) in [(1, 64), (4, 64), (2, 5)] {
-            let mut bulk: ArenaTree<BinDecomp> = ArenaTree::new(Rect::unit(), capacity, max_depth);
-            bulk.bulk_fill(pts.clone());
-            let mut bu: ArenaTree<BinDecomp> = ArenaTree::new(Rect::unit(), capacity, max_depth);
-            bu.bulk_fill_bottomup(pts.clone()).unwrap();
-            bu.check_invariants();
-            assert_trees_identical(&bulk, &bu, &format!("bin m={capacity} d={max_depth}"));
-        }
-    }
-
-    #[test]
-    fn non_exact_region_falls_back_and_matches() {
-        let region = Rect::from_bounds(-10.0, 5.0, 30.0, 25.0);
-        assert!(!morton::morton_grid_exact(&region));
-        let pts: Vec<Point2> = (0..120)
-            .map(|i| {
-                pt(
-                    -10.0 + 40.0 * ((i as f64 * 0.618_033_9) % 1.0),
-                    5.0 + 20.0 * ((i as f64 * 0.414_213_6) % 1.0),
-                )
-            })
-            .collect();
-        let mut bulk: ArenaTree<QuadDecomp> = ArenaTree::new(region, 2, 32);
-        bulk.bulk_fill(pts.clone());
-        let mut bu: ArenaTree<QuadDecomp> = ArenaTree::new(region, 2, 32);
-        bu.bulk_fill_bottomup(pts).unwrap();
-        assert_trees_identical(&bulk, &bu, "non-exact region");
-    }
-
-    #[test]
-    fn bottomup_of_empty_and_singleton() {
-        let mut t: ArenaTree<QuadDecomp> = ArenaTree::new(Rect::unit(), 2, 32);
-        t.bulk_fill_bottomup(Vec::new()).unwrap();
-        assert!(t.is_empty());
-        t.check_invariants();
-        let mut t: ArenaTree<QuadDecomp> = ArenaTree::new(Rect::unit(), 2, 32);
-        t.bulk_fill_bottomup(vec![pt(0.5, 0.5)]).unwrap();
-        assert_eq!(t.len(), 1);
-        t.check_invariants();
     }
 
     #[test]

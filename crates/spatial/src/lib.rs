@@ -43,6 +43,7 @@
 #![warn(missing_docs)]
 
 mod arena;
+mod bottomup;
 
 pub mod bintree;
 pub mod linear_quadtree;
@@ -56,8 +57,8 @@ pub mod pr_tree_nd;
 pub mod reference;
 pub mod visualize;
 
-pub use arena::bottomup::DirectFreezeError;
 pub use bintree::Bintree;
+pub use bottomup::DirectFreezeError;
 pub use linear_quadtree::{
     knn_cmp, BoundedOutcome, CostBudget, FreezeError, LinearQuadtree, QueryCost, QueryScratch,
     SectionDigests, SlabFootprint, SnapshotSection,

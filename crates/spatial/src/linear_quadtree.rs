@@ -252,20 +252,27 @@ struct LeafEntry {
     points_len: u32,
 }
 
-/// Incremental slab accumulator for [`LinearQuadtree::assemble`]: the
-/// bottom-up freeze emits leaves in ascending Morton order and points
+/// Incremental slab accumulator for [`LinearQuadtree::assemble`]: both
+/// freeze routes emit leaves in ascending Morton order and points
 /// grouped by leaf, exactly the frozen layout, so assembly is a move.
 #[derive(Debug, Default)]
 pub(crate) struct LinearBuilder {
     leaves: Vec<LeafEntry>,
     blocks: Vec<Rect>,
     points: Vec<Point2>,
+    /// The deepest leaf seen below the Morton resolution, if any; such
+    /// leaves get no record and make [`LinearQuadtree::assemble`] fail.
+    too_deep: Option<u32>,
 }
 
 impl LinearBuilder {
     /// Starts a leaf record; its `points_len` grows with each
     /// [`LinearBuilder::push_points`] until the next leaf begins.
     pub(crate) fn begin_leaf(&mut self, code_lo: u64, depth: u32, block: Rect) {
+        debug_assert!(
+            self.leaves.last().is_none_or(|l| l.code_lo <= code_lo),
+            "leaves must arrive in ascending Morton order"
+        );
         self.leaves.push(LeafEntry {
             code_lo,
             code_hi: code_lo + morton::cells_at_depth(depth),
@@ -283,6 +290,29 @@ impl LinearBuilder {
             .last_mut()
             .expect("push_points requires an open leaf")
             .points_len += pts.len() as u32;
+    }
+
+    /// Appends one leaf of a pointer-tree walk over `region`, keyed by
+    /// the Morton code of its block's low corner. A leaf below the
+    /// Morton resolution cannot be given a unique code, so it is only
+    /// recorded as too deep.
+    pub(crate) fn push_tree_leaf(
+        &mut self,
+        region: &Rect,
+        block: Rect,
+        depth: u32,
+        pts: &[Point2],
+    ) {
+        if depth > morton::MORTON_BITS {
+            self.too_deep = Some(self.too_deep.map_or(depth, |d| d.max(depth)));
+            return;
+        }
+        // The block's Morton range: its low corner's code is the
+        // smallest in the block; a depth-d block spans
+        // 4^(MORTON_BITS − d) codes.
+        let corner = Point2::new(block.x().lo(), block.y().lo());
+        self.begin_leaf(morton::morton_of_point(&corner, region), depth, block);
+        self.push_points(pts);
     }
 
     /// Pre-reserves slab capacity (bulk-freeze hint).
@@ -318,48 +348,44 @@ pub fn knn_cmp(a: &(f64, Point2), b: &(f64, Point2)) -> std::cmp::Ordering {
 impl LinearQuadtree {
     /// Freezes a PR quadtree into linear form.
     ///
+    /// The arena walk is pre-order by child index, and on a grid-exact
+    /// region child index order *is* ascending Morton order (DESIGN.md
+    /// §15), so the leaves arrive sorted and go straight into the slabs.
+    ///
     /// Fails with [`FreezeError::DepthExceedsMortonBits`] when any leaf
     /// sits below the Morton resolution — such leaves cannot be given
     /// unique locational codes, and silently clamping (the pre-PR 6
     /// behavior) would alias distinct blocks onto one code.
     pub fn from_tree(tree: &PrQuadtree) -> Result<Self, FreezeError> {
         let region = tree.region();
-        let mut leaves = Vec::new();
-        let mut blocks = Vec::new();
-        let mut points = Vec::new();
-        let mut too_deep: Option<u32> = None;
-        tree.for_each_leaf(|block, depth, pts| {
-            if depth > morton::MORTON_BITS {
-                too_deep = Some(too_deep.map_or(depth, |d| d.max(depth)));
-                return;
-            }
-            // The block's Morton range: its low corner's code is the
-            // smallest in the block; a depth-d block spans
-            // 4^(MORTON_BITS − d) codes.
-            let corner = Point2::new(block.x().lo(), block.y().lo());
-            let code_lo = morton::morton_of_point(&corner, &region);
-            leaves.push(LeafEntry {
-                code_lo,
-                code_hi: code_lo + morton::cells_at_depth(depth),
-                depth,
-                points_start: points.len() as u32,
-                points_len: pts.len() as u32,
-            });
-            blocks.push(block);
-            points.extend_from_slice(pts);
-        });
+        let mut builder = LinearBuilder::default();
+        builder.reserve(tree.leaf_count(), tree.len());
+        tree.for_each_leaf(|block, depth, pts| builder.push_tree_leaf(&region, block, depth, pts));
+        LinearQuadtree::assemble(builder, region)
+    }
+
+    /// Finishes either freeze route: fails if any leaf was too deep,
+    /// otherwise moves the slabs in. Beyond a debug-build order check
+    /// the builder enforces nothing at push time;
+    /// [`LinearQuadtree::check_invariants`] and the differential suites
+    /// pin the two routes against each other.
+    pub(crate) fn assemble(builder: LinearBuilder, region: Rect) -> Result<Self, FreezeError> {
+        let LinearBuilder {
+            mut leaves,
+            mut blocks,
+            mut points,
+            too_deep,
+        } = builder;
         if let Some(depth) = too_deep {
             return Err(FreezeError::DepthExceedsMortonBits {
                 depth,
                 max: morton::MORTON_BITS,
             });
         }
-        let mut order: Vec<usize> = (0..leaves.len()).collect();
-        order.sort_by_key(|&i| leaves[i].code_lo);
-        let leaves: Vec<LeafEntry> = order.iter().map(|&i| leaves[i].clone()).collect();
-        let blocks: Vec<Rect> = order.iter().map(|&i| blocks[i]).collect();
-        // The snapshot is immutable from here on; return the incremental
-        // growth slack so the footprint accounting is exact.
+        // Freeze contract: every slab at exact capacity, so the
+        // footprint is a linear function of the lengths.
+        leaves.shrink_to_fit();
+        blocks.shrink_to_fit();
         points.shrink_to_fit();
         Ok(LinearQuadtree {
             region,
@@ -367,31 +393,6 @@ impl LinearQuadtree {
             blocks,
             points,
         })
-    }
-
-    /// Crate-internal assembly for the bottom-up freeze path
-    /// (`arena::bottomup`), which emits leaves already in ascending
-    /// Morton order and so skips both the pointer tree and the
-    /// `from_tree` sort. The builder enforces nothing at push time;
-    /// [`LinearQuadtree::check_invariants`] and the differential suites
-    /// pin the result against the `from_tree` route.
-    pub(crate) fn assemble(builder: LinearBuilder, region: Rect) -> Self {
-        let LinearBuilder {
-            mut leaves,
-            mut blocks,
-            mut points,
-        } = builder;
-        // Freeze contract: every slab at exact capacity, so the
-        // footprint is a linear function of the lengths.
-        leaves.shrink_to_fit();
-        blocks.shrink_to_fit();
-        points.shrink_to_fit();
-        LinearQuadtree {
-            region,
-            leaves,
-            blocks,
-            points,
-        }
     }
 
     /// The region covered.
@@ -1118,14 +1119,6 @@ fn min_dist_squared(block: &Rect, p: &Point2) -> f64 {
     dx * dx + dy * dy
 }
 
-impl TryFrom<&PrQuadtree> for LinearQuadtree {
-    type Error = FreezeError;
-
-    fn try_from(tree: &PrQuadtree) -> Result<Self, FreezeError> {
-        LinearQuadtree::from_tree(tree)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1521,13 +1514,6 @@ mod tests {
                 assert!(truncated_spans > 0);
             }
         }
-    }
-
-    #[test]
-    fn try_from_reference_conversion() {
-        let (tree, _) = build_pair(50, 1, 8);
-        let linear: LinearQuadtree = (&tree).try_into().unwrap();
-        assert_eq!(linear.len(), 50);
     }
 }
 

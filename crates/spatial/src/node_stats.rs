@@ -114,9 +114,8 @@ impl OccupancyProfile {
         self.record_leaves(occupancy, 1);
     }
 
-    /// Records `count` leaves of one occupancy class at once — the bulk
-    /// form the bottom-up builder uses to apply a whole build's tally in
-    /// one pass. Lands on exactly the state `count` repeated
+    /// Records `count` leaves of one occupancy class at once. Lands on
+    /// exactly the state `count` repeated
     /// [`OccupancyProfile::record_leaf`] calls reach.
     pub fn record_leaves(&mut self, occupancy: usize, count: u64) {
         if occupancy >= self.counts.len() {
@@ -272,10 +271,9 @@ impl DepthOccupancyTable {
         self.record_many(depth, occupancy, 1);
     }
 
-    /// Records `count` leaves of one `(depth, occupancy)` class at once
-    /// — the bulk form the bottom-up builder uses. Lands on exactly the
-    /// state `count` repeated [`DepthOccupancyTable::record`] calls
-    /// reach.
+    /// Records `count` leaves of one `(depth, occupancy)` class at
+    /// once. Lands on exactly the state `count` repeated
+    /// [`DepthOccupancyTable::record`] calls reach.
     pub fn record_many(&mut self, depth: u32, occupancy: usize, count: u64) {
         let d = depth as usize;
         if d >= self.rows.len() {
@@ -401,17 +399,6 @@ impl OccupancyCensus {
         self.profile.record_leaf(occupancy);
         self.table.record(depth, occupancy);
         self.leaves += 1;
-    }
-
-    /// `count` leaves of one `(depth, occupancy)` class came into
-    /// existence at once. Bulk builders tally their leaves locally and
-    /// apply the whole tally through this — one profile/table touch per
-    /// class instead of per leaf — landing on exactly the state `count`
-    /// repeated [`OccupancyCensus::leaf_added`] calls reach.
-    pub fn leaves_added(&mut self, depth: u32, occupancy: usize, count: u64) {
-        self.profile.record_leaves(occupancy, count);
-        self.table.record_many(depth, occupancy, count);
-        self.leaves += count as usize;
     }
 
     /// A leaf with the given depth and occupancy ceased to exist.

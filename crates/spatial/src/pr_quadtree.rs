@@ -64,6 +64,26 @@ impl std::fmt::Display for TreeError {
 
 impl std::error::Error for TreeError {}
 
+/// Collects `points` for a bulk build over `region`, failing on the
+/// first non-finite or out-of-region point in input order — the same
+/// checks, in the same order, that sequential `insert`s would make.
+pub(crate) fn validate_points(
+    region: &Rect,
+    points: impl IntoIterator<Item = Point2>,
+) -> Result<Vec<Point2>, TreeError> {
+    let mut pts = Vec::new();
+    for p in points {
+        if !p.is_finite() {
+            return Err(TreeError::NonFinitePoint);
+        }
+        if !region.contains(&p) {
+            return Err(TreeError::OutOfRegion { point: p });
+        }
+        pts.push(p);
+    }
+    Ok(pts)
+}
+
 /// A generalized PR quadtree with node capacity `m`.
 #[derive(Debug, Clone)]
 pub struct PrQuadtree {
@@ -102,22 +122,7 @@ impl PrQuadtree {
         capacity: usize,
         points: impl IntoIterator<Item = Point2>,
     ) -> Result<Self, TreeError> {
-        let mut t = Self::new(region, capacity)?;
-        let mut pts = Vec::new();
-        for p in points {
-            if !p.is_finite() {
-                return Err(TreeError::NonFinitePoint);
-            }
-            if !t.region().contains(&p) {
-                return Err(TreeError::OutOfRegion { point: p });
-            }
-            pts.push(p);
-        }
-        // Bulk construction: bit-identical to sequential inserts (see
-        // `ArenaTree::bulk_fill`), but streams points level by level
-        // instead of descending per point.
-        t.tree.bulk_fill(pts);
-        Ok(t)
+        Self::build_with_max_depth(region, capacity, DEFAULT_MAX_DEPTH, points)
     }
 
     /// [`PrQuadtree::build`] with an explicit depth limit.
@@ -128,42 +133,12 @@ impl PrQuadtree {
         points: impl IntoIterator<Item = Point2>,
     ) -> Result<Self, TreeError> {
         let mut t = Self::with_max_depth(region, capacity, max_depth)?;
-        let pts = t.validate_points(points)?;
+        let pts = validate_points(&region, points)?;
+        // Bulk construction: bit-identical to sequential inserts (see
+        // `ArenaTree::bulk_fill`), but streams points level by level
+        // instead of descending per point.
         t.tree.bulk_fill(pts);
         Ok(t)
-    }
-
-    /// Builds via the Morton-radix bottom-up bulk path: bit-identical
-    /// to [`PrQuadtree::build`] (same errors, same tree, same census),
-    /// but on grid-exact regions the points are quantized once and the
-    /// tree is emitted from stable radix scatters with zero per-point
-    /// descent. Non-grid-exact regions silently use the level-streaming
-    /// bulk path instead.
-    pub fn build_bottomup(
-        region: Rect,
-        capacity: usize,
-        points: impl IntoIterator<Item = Point2>,
-    ) -> Result<Self, TreeError> {
-        let mut t = Self::new(region, capacity)?;
-        t.tree.bulk_fill_bottomup(points.into_iter().collect())?;
-        Ok(t)
-    }
-
-    fn validate_points(
-        &self,
-        points: impl IntoIterator<Item = Point2>,
-    ) -> Result<Vec<Point2>, TreeError> {
-        let mut pts = Vec::new();
-        for p in points {
-            if !p.is_finite() {
-                return Err(TreeError::NonFinitePoint);
-            }
-            if !self.region().contains(&p) {
-                return Err(TreeError::OutOfRegion { point: p });
-            }
-            pts.push(p);
-        }
-        Ok(pts)
     }
 
     /// The region covered.

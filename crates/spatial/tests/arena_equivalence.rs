@@ -7,14 +7,16 @@
 //! On top of that, the incrementally maintained census must equal a
 //! census rebuilt from a full traversal after *every* operation, and
 //! free-list reuse (remove-then-reinsert) must leave the traversal order
-//! unchanged.
+//! unchanged. The bintree's bulk build is held to its own reference
+//! semantics (sequential insertion), and the direct points → linear
+//! freeze to the build + `from_tree` route.
 
 use popan_geom::{Point2, Rect};
 use popan_proptest::prelude::*;
 use popan_spatial::reference::BoxedPrQuadtree;
 use popan_spatial::{
-    Bintree, DepthOccupancyTable, OccupancyCensus, OccupancyInstrumented, OccupancyProfile,
-    PrQuadtree,
+    Bintree, DepthOccupancyTable, DirectFreezeError, LinearQuadtree, OccupancyCensus,
+    OccupancyInstrumented, OccupancyProfile, PrQuadtree,
 };
 
 /// Asserts every observable of the arena tree against the boxed oracle.
@@ -64,9 +66,9 @@ fn arb_coords() -> impl Strategy<Value = Vec<(f64, f64)>> {
 /// Point multisets slanted toward the bulk paths' hard cases: exact
 /// dyadic-grid collisions (coincident piles on split boundaries) and
 /// sub-quantum clusters (distinct points sharing one full-resolution
-/// Morton cell, which force max-depth spill leaves at capacity 1 and the
-/// bottom-up path's geometric fallback). Lengths 0 and 1 cover the
-/// empty/singleton edges.
+/// Morton cell, which force max-depth spill leaves at capacity 1, leaves
+/// below the Morton resolution, and the direct freeze's pointer-tree
+/// fallback). Lengths 0 and 1 cover the empty/singleton edges.
 fn arb_messy_points() -> impl Strategy<Value = Vec<Point2>> {
     popan_proptest::collection::vec((0u8..10, 0.0f64..1.0, 0.0f64..1.0, 0u8..8, 0u8..8), 0..140)
         .prop_map(|elems| {
@@ -85,51 +87,74 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn builds_are_bit_identical(coords in arb_coords(), capacity in 1usize..6) {
-        let points: Vec<Point2> = coords.iter().map(|&(x, y)| Point2::new(x, y)).collect();
-        let arena = PrQuadtree::build(Rect::unit(), capacity, points.iter().copied()).unwrap();
-        let boxed = BoxedPrQuadtree::build(Rect::unit(), capacity, points.iter().copied()).unwrap();
-        assert_matches_oracle(&arena, &boxed);
-        assert_census_fresh(&arena);
+    fn builds_are_bit_identical(
+        coords in arb_coords(),
+        messy in arb_messy_points(),
+        capacity in 1usize..6,
+    ) {
+        let uniform: Vec<Point2> = coords.iter().map(|&(x, y)| Point2::new(x, y)).collect();
+        for points in [uniform, messy] {
+            let arena = PrQuadtree::build(Rect::unit(), capacity, points.iter().copied()).unwrap();
+            let boxed =
+                BoxedPrQuadtree::build(Rect::unit(), capacity, points.iter().copied()).unwrap();
+            assert_matches_oracle(&arena, &boxed);
+            assert_census_fresh(&arena);
+            arena.check_invariants();
+        }
     }
 
     #[test]
-    fn bottomup_builds_are_bit_identical(
+    fn bintree_build_matches_sequential_insertion(
         points in arb_messy_points(),
         capacity in 1usize..6,
     ) {
-        // Three-way: Morton-radix bottom-up vs level-streaming bulk
-        // vs the boxed oracle — all three must agree bit for bit.
-        let bottomup =
-            PrQuadtree::build_bottomup(Rect::unit(), capacity, points.iter().copied()).unwrap();
-        let bulk = PrQuadtree::build(Rect::unit(), capacity, points.iter().copied()).unwrap();
-        let boxed =
-            BoxedPrQuadtree::build(Rect::unit(), capacity, points.iter().copied()).unwrap();
-        assert_eq!(bottomup.leaf_records(), bulk.leaf_records());
-        assert_eq!(bottomup.node_count(), bulk.node_count());
-        assert_matches_oracle(&bottomup, &boxed);
-        assert_census_fresh(&bottomup);
-        bottomup.check_invariants();
-    }
-
-    #[test]
-    fn bintree_bottomup_builds_are_bit_identical(
-        points in arb_messy_points(),
-        capacity in 1usize..6,
-    ) {
-        let bottomup =
-            Bintree::build_bottomup(Rect::unit(), capacity, points.iter().copied()).unwrap();
+        // Insert-only construction is order independent, so the bulk
+        // build must land on exactly the tree sequential inserts grow:
+        // same leaf blocks and depths, same within-leaf point order,
+        // same census.
         let bulk = Bintree::build(Rect::unit(), capacity, points.iter().copied()).unwrap();
-        assert_eq!(bottomup.len(), bulk.len());
-        assert_eq!(bottomup.node_count(), bulk.node_count());
+        let mut seq = Bintree::new(Rect::unit(), capacity).unwrap();
+        for &p in &points {
+            seq.insert(p).unwrap();
+        }
+        prop_assert_eq!(bulk.len(), seq.len());
+        prop_assert_eq!(bulk.node_count(), seq.node_count());
+        prop_assert_eq!(bulk.leaf_count(), seq.leaf_count());
         let mut a = Vec::new();
-        bottomup.for_each_leaf(|r, d, pts| a.push((r, d, pts.to_vec())));
+        bulk.for_each_leaf(|r, d, pts| a.push((r, d, pts.to_vec())));
         let mut b = Vec::new();
-        bulk.for_each_leaf(|r, d, pts| b.push((r, d, pts.to_vec())));
-        assert_eq!(a, b, "bintree leaf traversal diverged");
-        assert_eq!(bottomup.occupancy_profile(), bulk.occupancy_profile());
-        assert_eq!(bottomup.depth_table(), bulk.depth_table());
-        bottomup.check_invariants();
+        seq.for_each_leaf(|r, d, pts| b.push((r, d, pts.to_vec())));
+        prop_assert_eq!(a, b, "bintree leaf traversal diverged");
+        prop_assert_eq!(bulk.occupancy_profile(), seq.occupancy_profile());
+        prop_assert_eq!(bulk.depth_table(), seq.depth_table());
+        bulk.check_invariants();
+    }
+
+    #[test]
+    fn direct_freeze_matches_build_then_from_tree(
+        points in arb_messy_points(),
+        capacity in 1usize..6,
+        max_depth in 31u32..33,
+    ) {
+        // max_depth 31 spills sub-quantum clusters at the Morton floor;
+        // 32 pushes them one level below it, where both routes must
+        // refuse with the same depth.
+        let direct =
+            LinearQuadtree::from_points_direct(Rect::unit(), capacity, max_depth, points.clone());
+        let tree =
+            PrQuadtree::build_with_max_depth(Rect::unit(), capacity, max_depth, points).unwrap();
+        match (direct, LinearQuadtree::from_tree(&tree)) {
+            (Ok(direct), Ok(via_tree)) => {
+                direct.check_invariants();
+                prop_assert_eq!(direct.section_digests(), via_tree.section_digests());
+            }
+            (Err(DirectFreezeError::Freeze(direct)), Err(via_tree)) => {
+                prop_assert_eq!(direct, via_tree);
+            }
+            (direct, via_tree) => {
+                prop_assert!(false, "routes disagree: {:?} vs {:?}", direct.err(), via_tree.err());
+            }
+        }
     }
 
     #[test]

@@ -104,45 +104,17 @@ cmp "$SPLIT_DIR/t1/split.json" "$SPLIT_DIR/t4/split.json" || {
   echo "verify: split artifact differs between 1 and 4 engine threads" >&2; exit 1; }
 
 # --smoke: one iteration per bench, just proving every target runs and
-# writes its target/popan-bench/BENCH_<group>.json artifact.
-cargo bench -q --offline --workspace -- --smoke
+# writes its BENCH_<group>.json artifact. The smoke run writes into a
+# fresh directory, so an artifact left by an earlier run cannot stand
+# in for a group that wrote nothing; smoke timings are single-iteration
+# noise and are never archived (bench/BENCH_<group>.json holds the
+# committed full-run trajectory).
+SMOKE_DIR=$(mktemp -d "${TMPDIR:-/tmp}/popan-smoke.XXXXXX")
+trap 'rm -rf "$DEGRADE_DIR" "$SPLIT_DIR" "$SMOKE_DIR"' EXIT
+POPAN_BENCH_DIR="$SMOKE_DIR" cargo bench -q --offline --workspace -- --smoke
+for group in spatial query split query_faults lint; do
+  [ -f "$SMOKE_DIR/BENCH_$group.json" ] || {
+    echo "verify: bench smoke did not produce BENCH_$group.json" >&2; exit 1; }
+done
 
-# Archive the spatial bench artifact next to the committed trajectory.
-# bench/BENCH_spatial.json holds full-run numbers (committed per PR, so
-# the trajectory accumulates in history); the .smoke archive proves the
-# group still runs end to end and is deterministic in name, so repeat
-# verifications are idempotent.
-[ -f target/popan-bench/BENCH_spatial.json ] || {
-  echo "verify: bench smoke did not produce BENCH_spatial.json" >&2; exit 1; }
-mkdir -p bench
-cp target/popan-bench/BENCH_spatial.json bench/BENCH_spatial.smoke.json
-# Same for the query tier: bench/BENCH_query.json is the committed
-# full-run trajectory; the .smoke archive proves BENCH_query (including
-# its pre-timing bit-identity assertion across 1/2/4 readers) still
-# runs end to end.
-[ -f target/popan-bench/BENCH_query.json ] || {
-  echo "verify: bench smoke did not produce BENCH_query.json" >&2; exit 1; }
-cp target/popan-bench/BENCH_query.json bench/BENCH_query.smoke.json
-# And the split-tree group: bench/BENCH_split.json is the committed
-# full-run trajectory (m-ary builds, census reads, SplitSpec transform
-# derivation); the .smoke archive proves the group runs end to end.
-[ -f target/popan-bench/BENCH_split.json ] || {
-  echo "verify: bench smoke did not produce BENCH_split.json" >&2; exit 1; }
-cp target/popan-bench/BENCH_split.json bench/BENCH_split.smoke.json
-# And the self-healing group: bench/BENCH_query_faults.json is the
-# committed full run (checksummed vs plain freeze — the ≤5% overhead
-# record — plus verify/publish/quarantine and budgeted-query costs);
-# the .smoke archive proves the group, with its pre-timing
-# budget-completeness assertions, runs end to end.
-[ -f target/popan-bench/BENCH_query_faults.json ] || {
-  echo "verify: bench smoke did not produce BENCH_query_faults.json" >&2; exit 1; }
-cp target/popan-bench/BENCH_query_faults.json bench/BENCH_query_faults.smoke.json
-# And the analyzer itself: bench/BENCH_lint.json is the committed full
-# run of the three analysis phases (parse / graph / rules) over the
-# real tree; the .smoke archive proves the phased API still drives a
-# whole-workspace analysis end to end.
-[ -f target/popan-bench/BENCH_lint.json ] || {
-  echo "verify: bench smoke did not produce BENCH_lint.json" >&2; exit 1; }
-cp target/popan-bench/BENCH_lint.json bench/BENCH_lint.smoke.json
-
-echo "verify: lint (baselined graph analysis, report archived) + build + test (POPAN_THREADS=1 and =4) + faults + resume + query suite + chaos suite + split bit-identity + bench smoke (BENCH_spatial, BENCH_query, BENCH_split, BENCH_query_faults, BENCH_lint archived) all green (offline)"
+echo "verify: lint (baselined graph analysis, report archived) + build + test (POPAN_THREADS=1 and =4) + faults + resume + query suite + chaos suite + split bit-identity + bench smoke (BENCH_spatial, BENCH_query, BENCH_split, BENCH_query_faults, BENCH_lint) all green (offline)"
