@@ -54,6 +54,15 @@ pub fn demorton2(code: u64) -> (u32, u32) {
 #[inline]
 pub fn morton_of_point(p: &Point2, rect: &Rect) -> u64 {
     debug_assert!(rect.contains(p), "morton_of_point: point outside rect");
+    morton_of_point_saturating(p, rect)
+}
+
+/// [`morton_of_point`] for any point: a coordinate below the region
+/// (or NaN) quantizes to cell 0 of its axis, one at or above it to the
+/// last cell, so the code of an outside point is that of the nearest
+/// boundary cell on each axis. Inside `rect` the two agree bit for bit.
+#[inline]
+pub fn morton_of_point_saturating(p: &Point2, rect: &Rect) -> u64 {
     let scale = (1u64 << MORTON_BITS) as f64;
     let fx = (p.x - rect.x().lo()) / rect.width();
     let fy = (p.y - rect.y().lo()) / rect.height();
@@ -261,6 +270,32 @@ mod tests {
         let a = morton_of_point(&Point2::new(0.1, 0.9), &r);
         let b = morton_of_point(&Point2::new(0.9, 0.1), &r);
         assert_eq!(block_id_at_depth(a, 0), block_id_at_depth(b, 0));
+    }
+
+    #[test]
+    fn saturating_quantization_clamps_outside_points_to_boundary_cells() {
+        let r = Rect::unit();
+        let top = (1u32 << MORTON_BITS) - 1;
+        let p = Point2::new(0.3, 0.7);
+        assert_eq!(morton_of_point_saturating(&p, &r), morton_of_point(&p, &r));
+        for (p, cell) in [
+            (Point2::new(-0.5, 0.0), (0, 0)),
+            (Point2::new(1.0, 1.0), (top, top)),
+            (Point2::new(f64::NEG_INFINITY, 2.0), (0, top)),
+            (Point2::new(f64::NAN, f64::INFINITY), (0, top)),
+        ] {
+            assert_eq!(
+                morton_of_point_saturating(&p, &r),
+                morton2(cell.0, cell.1),
+                "{p:?}"
+            );
+        }
+        // An outside point takes the code of its nearest boundary cell.
+        let inside = Point2::new(0.25, 1.0 - f64::EPSILON);
+        assert_eq!(
+            morton_of_point_saturating(&Point2::new(0.25, 3.0), &r),
+            morton_of_point(&inside, &r)
+        );
     }
 
     #[test]

@@ -116,7 +116,7 @@ impl BatchAnswers {
 /// boundary cells, which keeps the schedule monotone without branching;
 /// the key orders execution only and never affects any answer.
 fn anchor_key(region: &Rect, x: f64, y: f64) -> u64 {
-    morton::morton_of_point(&Point2 { x, y }, region)
+    morton::morton_of_point_saturating(&Point2 { x, y }, region)
 }
 
 /// Fills `scratch.order` with the Morton execution schedule.

@@ -38,8 +38,10 @@ pub struct Snapshot {
 impl Snapshot {
     /// Freezes `tree` into a snapshot stamped `epoch`.
     ///
-    /// Fails with [`FreezeError::DepthExceedsMortonBits`] when the tree
-    /// has leaves deeper than the Morton resolution (see
+    /// Fails with [`FreezeError::RegionNotGridExact`] when the tree's
+    /// region is not Morton-grid-exact and with
+    /// [`FreezeError::DepthExceedsMortonBits`] when the tree has leaves
+    /// deeper than the Morton resolution (see
     /// [`LinearQuadtree::from_tree`]).
     pub fn freeze(epoch: u64, tree: &PrQuadtree) -> Result<Snapshot, FreezeError> {
         let index = LinearQuadtree::from_tree(tree)?;
@@ -343,7 +345,8 @@ pub enum SnapshotBuildError {
     /// Building the intermediate PR quadtree failed (bad parameters,
     /// out-of-region or non-finite points).
     Tree(String),
-    /// Freezing failed (leaves below the Morton resolution).
+    /// Freezing failed (a region that is not grid-exact, or leaves
+    /// below the Morton resolution).
     Freeze(FreezeError),
 }
 

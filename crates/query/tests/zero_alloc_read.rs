@@ -53,7 +53,7 @@ fn snapshot_read_path_does_not_allocate() {
     use popan_query::{Snapshot, SnapshotPublisher};
     use popan_rng::rngs::StdRng;
     use popan_rng::{Rng, SeedableRng};
-    use popan_spatial::QueryScratch;
+    use popan_spatial::{CostBudget, QueryScratch};
 
     let snapshot_of = |seed: u64| {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -71,7 +71,10 @@ fn snapshot_read_path_does_not_allocate() {
     let mut reader = publisher.subscribe();
 
     // The measured batch: a mix of range, count and k-NN queries plus a
-    // refresh per iteration, written through reusable buffers.
+    // refresh per iteration, written through reusable buffers, each
+    // also asked under a budget of 8 points so the bounded forms take
+    // their partial paths (trim to the canonical prefix).
+    let tight = CostBudget::new(u64::MAX, 8);
     let mut rng = StdRng::seed_from_u64(2);
     let queries: Vec<(Rect, Point2, usize)> = (0..64)
         .map(|i| {
@@ -101,6 +104,11 @@ fn snapshot_read_path_does_not_allocate() {
             *sink = sink.wrapping_add(snap.count_with(rect, scratch));
             snap.knn_into(target, *k, scratch, out);
             *sink = sink.wrapping_add(out.len());
+            snap.range_bounded_into(rect, &tight, scratch, out);
+            *sink = sink.wrapping_add(out.len());
+            *sink = sink.wrapping_add(snap.count_bounded_with(rect, &tight, scratch).0);
+            snap.knn_bounded_into(target, *k, &tight, scratch, out);
+            *sink = sink.wrapping_add(out.len());
         }
     };
 
@@ -123,9 +131,22 @@ fn snapshot_read_path_does_not_allocate() {
     assert_eq!(reader.epoch(), 1, "batch must have absorbed the new epoch");
     assert_eq!(
         allocs, 0,
-        "snapshot read path allocated {allocs} times; refresh + range/count/knn must be \
-         allocation-free once warm"
+        "snapshot read path allocated {allocs} times; refresh + range/count/knn and their \
+         bounded forms must be allocation-free once warm"
     );
+
+    // The tight budget does reach the partial paths.
+    let snap = reader.cached();
+    assert!(queries.iter().any(|(rect, _, _)| {
+        !snap
+            .range_bounded_into(rect, &tight, &mut scratch, &mut out)
+            .is_complete()
+    }));
+    assert!(queries.iter().any(|(_, target, k)| {
+        !snap
+            .knn_bounded_into(target, *k, &tight, &mut scratch, &mut out)
+            .is_complete()
+    }));
 
     // Sanity: the counter does observe this binary's allocations — the
     // allocating convenience forms show up immediately.

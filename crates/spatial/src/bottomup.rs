@@ -48,10 +48,13 @@
 //!   one quantum of the resolved levels, or piles the truncation simply
 //!   cannot separate — take the pointer-tree route for that subtree: a
 //!   fresh arena tree over the run's block, filled by `bulk_fill` and
-//!   emitted through `from_tree`'s leaf helper. Non-exact regions take
-//!   the pointer-tree route wholesale. Both are the reference semantics,
-//!   so bit-identity never depends on the certificate or the truncation
-//!   depth — only speed does.
+//!   emitted through `from_tree`'s leaf helper. That is the reference
+//!   semantics, so bit-identity never depends on the truncation depth —
+//!   only speed does.
+//! * Non-exact regions take the pointer-tree route wholesale, which
+//!   validates the points and then meets `from_tree`'s
+//!   [`FreezeError::RegionNotGridExact`] refusal: the two routes report
+//!   the same error, in the same order (capacity, points, region).
 //!
 //! Leaf rects are derived from the Morton prefix in closed form (exact
 //! on a grid-exact region, see [`Freeze::block`]) instead of threading
@@ -308,9 +311,10 @@ pub enum DirectFreezeError {
     /// Input validation failed (bad capacity, out-of-region or
     /// non-finite point) — the same errors `PrQuadtree::build` reports.
     Tree(TreeError),
-    /// The point set forces leaves below the Morton resolution; the
-    /// depth reported is the deepest leaf the equivalent pointer tree
-    /// would hold, matching `LinearQuadtree::from_tree`.
+    /// The region is not grid-exact, or the point set forces leaves
+    /// below the Morton resolution (the depth reported is the deepest
+    /// leaf the equivalent pointer tree would hold) — the same error
+    /// `LinearQuadtree::from_tree` reports.
     Freeze(FreezeError),
 }
 
@@ -385,7 +389,9 @@ impl LinearQuadtree {
     /// (the differential suites pin the slabs and digests), but built
     /// bottom-up: one Morton quantization pass, one stable LSD radix
     /// sort, and leaves emitted already in ascending code order.
-    /// Non-grid-exact regions take the pointer-tree route internally.
+    /// Non-grid-exact regions take the pointer-tree route internally,
+    /// so they fail like `from_tree` does, after point validation, with
+    /// [`FreezeError::RegionNotGridExact`].
     pub fn from_points_direct(
         region: Rect,
         capacity: usize,
@@ -597,7 +603,7 @@ mod tests {
     }
 
     #[test]
-    fn freeze_direct_on_non_exact_region_matches_too() {
+    fn freeze_refuses_non_exact_region_on_both_routes() {
         let region = Rect::from_bounds(-10.0, 5.0, 30.0, 25.0);
         let pts: Vec<Point2> = (0..60)
             .map(|i| {
@@ -608,9 +614,23 @@ mod tests {
             })
             .collect();
         let tree = PrQuadtree::build(region, 3, pts.clone()).unwrap();
-        let via_tree = LinearQuadtree::from_tree(&tree).unwrap();
-        let direct = LinearQuadtree::from_points_direct(region, 3, 32, pts).unwrap();
-        assert_eq!(direct.section_digests(), via_tree.section_digests());
+        let via_tree = LinearQuadtree::from_tree(&tree).unwrap_err();
+        assert_eq!(via_tree, FreezeError::RegionNotGridExact);
+        assert!(via_tree.to_string().contains("grid-exact"), "{via_tree}");
+        let direct = LinearQuadtree::from_points_direct(region, 3, 32, pts).unwrap_err();
+        assert_eq!(direct, DirectFreezeError::Freeze(via_tree));
+        // Precedence: capacity, then the points, then the region.
+        let err = LinearQuadtree::from_points_direct(region, 0, 32, vec![]).unwrap_err();
+        assert!(matches!(
+            err,
+            DirectFreezeError::Tree(TreeError::InvalidParameter(_))
+        ));
+        let err =
+            LinearQuadtree::from_points_direct(region, 1, 32, vec![pt(f64::NAN, 6.0)]).unwrap_err();
+        assert!(matches!(
+            err,
+            DirectFreezeError::Tree(TreeError::NonFinitePoint)
+        ));
     }
 
     #[test]

@@ -15,17 +15,23 @@
 //! * **Typed freeze.** [`LinearQuadtree::from_tree`] rejects trees with
 //!   leaves deeper than [`morton::MORTON_BITS`] with
 //!   [`FreezeError::DepthExceedsMortonBits`] instead of silently
-//!   aliasing distinct blocks onto one locational code.
+//!   aliasing distinct blocks onto one locational code, and regions
+//!   that fail [`morton::morton_grid_exact`] with
+//!   [`FreezeError::RegionNotGridExact`]: only there do the leaf code
+//!   ranges tile the Morton range exactly.
 //! * **Morton-decomposed range queries.** [`LinearQuadtree::range_query_into`]
 //!   and [`LinearQuadtree::count_in_range_with`] prune through
 //!   [`morton::decompose_ranges_into`] spans: leaves wholly inside a
 //!   *covered* span are bulk-copied (or bulk-counted off the flat
 //!   offsets, never touching their points); only boundary leaves pay the
 //!   per-point rectangle test.
-//! * **Deterministic k-NN.** [`LinearQuadtree::k_nearest_into`] returns
-//!   the `k` nearest points under the canonical
+//! * **Deterministic, nearest-first k-NN.** [`LinearQuadtree::k_nearest_into`]
+//!   returns the `k` nearest points under the canonical
 //!   `(distance², Point2::canonical_cmp)` order, so coincident-point and
-//!   equidistant ties resolve identically on every backend.
+//!   equidistant ties resolve identically on every backend. It descends
+//!   the implicit Morton hierarchy of the leaf slab nearest child first
+//!   and prunes whole subtrees, so a query examines O(log n + k/m̄)
+//!   blocks instead of every leaf.
 //! * **Zero-allocation serving.** The `_into` variants write into
 //!   caller-owned buffers and a reusable [`QueryScratch`]; after warmup
 //!   a query batch performs no heap allocation (pinned by
@@ -50,6 +56,12 @@ pub enum FreezeError {
         /// The deepest representable level, [`morton::MORTON_BITS`].
         max: u32,
     },
+    /// The region fails [`morton::morton_grid_exact`]: quantization
+    /// there can round a block corner into a neighbouring cell, so the
+    /// leaf code ranges would overlap instead of tiling the Morton
+    /// range, and range, count, k-NN and point lookup would all read
+    /// the wrong leaves. Each axis must be `[0, 2^k)` with |k| ≤ 512.
+    RegionNotGridExact,
 }
 
 impl std::fmt::Display for FreezeError {
@@ -59,6 +71,10 @@ impl std::fmt::Display for FreezeError {
                 f,
                 "leaf at depth {depth} exceeds the Morton resolution of {max} bits per axis; \
                  locational codes would alias"
+            ),
+            FreezeError::RegionNotGridExact => f.write_str(
+                "region is not Morton-grid-exact (each axis must be [0, 2^k)); \
+                 leaf code ranges would overlap",
             ),
         }
     }
@@ -252,6 +268,16 @@ struct LeafEntry {
     points_len: u32,
 }
 
+/// A block of the implicit Morton hierarchy over the leaf slab, as the
+/// k-NN descent walks it: its rect, depth, first code and leaf run.
+#[derive(Debug, Clone, Copy)]
+struct SlabBlock<'a> {
+    rect: Rect,
+    depth: u32,
+    code: u64,
+    run: &'a [LeafEntry],
+}
+
 /// Incremental slab accumulator for [`LinearQuadtree::assemble`]: both
 /// freeze routes emit leaves in ascending Morton order and points
 /// grouped by leaf, exactly the frozen layout, so assembly is a move.
@@ -330,8 +356,10 @@ pub struct LinearQuadtree {
     /// Leaf entries sorted by `code_lo`; their `[code_lo, code_hi)`
     /// ranges partition the full Morton range.
     leaves: Vec<LeafEntry>,
-    /// `blocks[i]` is the geometric rect of `leaves[i]` — precomputed at
-    /// freeze so the k-NN pruning loop reads it straight off the slab.
+    /// `blocks[i]` is the geometric rect of `leaves[i]`, precomputed at
+    /// freeze. Only the bounded k-NN's leaf sweep and the range
+    /// truncation bound read it; the serving k-NN derives its block
+    /// rects from the region as it descends.
     blocks: Vec<Rect>,
     /// All points, grouped by leaf.
     points: Vec<Point2>,
@@ -352,12 +380,17 @@ impl LinearQuadtree {
     /// region child index order *is* ascending Morton order (DESIGN.md
     /// §15), so the leaves arrive sorted and go straight into the slabs.
     ///
-    /// Fails with [`FreezeError::DepthExceedsMortonBits`] when any leaf
-    /// sits below the Morton resolution — such leaves cannot be given
-    /// unique locational codes, and silently clamping (the pre-PR 6
-    /// behavior) would alias distinct blocks onto one code.
+    /// Fails with [`FreezeError::RegionNotGridExact`] when the tree's
+    /// region fails [`morton::morton_grid_exact`], and with
+    /// [`FreezeError::DepthExceedsMortonBits`] when any leaf sits below
+    /// the Morton resolution — such leaves cannot be given unique
+    /// locational codes, and silently clamping them would alias
+    /// distinct blocks onto one code.
     pub fn from_tree(tree: &PrQuadtree) -> Result<Self, FreezeError> {
         let region = tree.region();
+        if !morton::morton_grid_exact(&region) {
+            return Err(FreezeError::RegionNotGridExact);
+        }
         let mut builder = LinearBuilder::default();
         builder.reserve(tree.leaf_count(), tree.len());
         tree.for_each_leaf(|block, depth, pts| builder.push_tree_leaf(&region, block, depth, pts));
@@ -579,11 +612,19 @@ impl LinearQuadtree {
     ///
     /// Ordering and tie-breaking follow [`knn_cmp`]: squared distance,
     /// then canonical point order — fully deterministic even for
-    /// coincident piles and equidistant rings. The scan seeds its bound
-    /// from the leaf containing `target`, then sweeps the flat leaf
-    /// slab, pruning every leaf whose block cannot *strictly* beat the
-    /// current k-th candidate (strict, so equal-distance ties are still
-    /// examined and resolved canonically).
+    /// coincident piles and equidistant rings.
+    ///
+    /// The search is a depth-first branch-and-bound over the implicit
+    /// Morton hierarchy of the leaf slab (the pointer tree's
+    /// `k_nearest` on slab ranges): a block's four children are the
+    /// `code_lo` runs found by `partition_point`, their rects come from
+    /// [`Rect::quadrants`], and they are visited nearest first, in
+    /// `(min-distance², code)` order, skipping empty ones. The first
+    /// child whose block cannot *strictly* beat the current k-th
+    /// candidate ends the visit (strict, so equal-distance ties are
+    /// still examined and resolved canonically). The answer is the top
+    /// `k` under a total order, so it does not depend on the visit
+    /// order. Allocation-free once `scratch` and `out` are warm.
     pub fn k_nearest_into(
         &self,
         target: &Point2,
@@ -596,41 +637,80 @@ impl LinearQuadtree {
         if k == 0 || self.points.is_empty() {
             return;
         }
-        scratch.best.reserve(k + 1);
-        let seed = self.leaf_index_of(target);
-        if let Some(i) = seed {
-            Self::knn_scan_leaf(
-                self.leaf_points(&self.leaves[i]),
-                target,
-                k,
-                &mut scratch.best,
-            );
-        }
-        for i in 0..self.leaves.len() {
-            if Some(i) == seed {
-                continue;
+        scratch.best.reserve(k.min(self.points.len()) + 1);
+        let root = SlabBlock {
+            rect: self.region,
+            depth: 0,
+            code: 0,
+            run: &self.leaves,
+        };
+        self.knn_descend(root, target, k, &mut scratch.best);
+        out.extend(scratch.best.iter().map(|&(_, p)| p));
+    }
+
+    /// One step of [`LinearQuadtree::k_nearest_into`]'s descent. A
+    /// single leaf is scanned; so is a run that cannot split further
+    /// (only a damaged slab has one), which bounds the recursion at
+    /// [`morton::MORTON_BITS`] levels.
+    fn knn_descend(
+        &self,
+        block: SlabBlock<'_>,
+        target: &Point2,
+        k: usize,
+        best: &mut Vec<(f64, Point2)>,
+    ) {
+        if block.run.len() <= 1 || block.depth >= morton::MORTON_BITS {
+            for l in block.run {
+                Self::knn_scan_leaf(self.leaf_points(l), target, k, best);
             }
-            if scratch.best.len() == k {
-                let worst = scratch.best[k - 1].0;
-                if min_dist_squared(&self.blocks[i], target) > worst {
-                    continue;
+            return;
+        }
+        let quarter = morton::cells_at_depth(block.depth + 1);
+        // The children that hold points, each with its min-distance².
+        let mut children = [(0.0, block); 4];
+        let mut live = 0;
+        let mut rest = block.run;
+        let mut code = block.code;
+        for rect in block.rect.quadrants() {
+            let (run, tail) = rest.split_at(rest.partition_point(|l| l.code_lo < code + quarter));
+            if let (Some(first), Some(last), Some(slot)) =
+                (run.first(), run.last(), children.get_mut(live))
+            {
+                // The run's points are one contiguous slab range.
+                let end = u64::from(last.points_start) + u64::from(last.points_len);
+                if end > u64::from(first.points_start) {
+                    let child = SlabBlock {
+                        rect,
+                        depth: block.depth + 1,
+                        code,
+                        run,
+                    };
+                    *slot = (min_dist_squared(&rect, target), child);
+                    live += 1;
                 }
             }
-            Self::knn_scan_leaf(
-                self.leaf_points(&self.leaves[i]),
-                target,
-                k,
-                &mut scratch.best,
-            );
+            rest = tail;
+            code += quarter;
         }
-        out.extend(scratch.best.iter().map(|&(_, p)| p));
+        let children = children.get_mut(..live).unwrap_or_default();
+        children.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.code.cmp(&b.1.code)));
+        for &(dist, child) in children.iter() {
+            if best.len() == k && best.last().is_some_and(|worst| dist > worst.0) {
+                break;
+            }
+            self.knn_descend(child, target, k, best);
+        }
     }
 
     /// Folds one leaf's points into the sorted candidate list.
     fn knn_scan_leaf(points: &[Point2], target: &Point2, k: usize, best: &mut Vec<(f64, Point2)>) {
         for p in points {
             let cand = (p.distance_squared(target), *p);
-            if best.len() == k && knn_cmp(&cand, &best[k - 1]) == std::cmp::Ordering::Greater {
+            if best.len() == k
+                && best
+                    .last()
+                    .is_some_and(|worst| knn_cmp(&cand, worst) == Ordering::Greater)
+            {
                 continue;
             }
             let pos = best.partition_point(|e| knn_cmp(e, &cand) != std::cmp::Ordering::Greater);
@@ -827,7 +907,10 @@ impl LinearQuadtree {
         (bound, truncated)
     }
 
-    /// Budgeted k-NN: like [`LinearQuadtree::k_nearest_into`], but stops
+    /// Budgeted k-NN: the answer of [`LinearQuadtree::k_nearest_into`]
+    /// from a leaf sweep — the leaf containing `target` first, then the
+    /// slab in Morton order, skipping (uncharged) every leaf whose block
+    /// cannot strictly beat the current k-th candidate — that stops
     /// scanning leaves when `budget` is exhausted and trims the
     /// candidate list to the **guaranteed prefix** of the true answer
     /// under [`knn_cmp`]: only candidates strictly closer than any
@@ -848,7 +931,7 @@ impl LinearQuadtree {
         if k == 0 || self.points.is_empty() {
             return BoundedOutcome::Complete { visited: cost };
         }
-        scratch.best.reserve(k + 1);
+        scratch.best.reserve(k.min(self.points.len()) + 1);
         let seed = self.leaf_index_of(target);
         let mut exhausted = false;
         let order = seed
@@ -886,14 +969,14 @@ impl LinearQuadtree {
         // lower bounds exceeded a then-current k-th distance — caps the
         // provable prefix: a candidate survives only if it is strictly
         // closer than the nearest possible point of every such leaf.
-        let mut scanned: Vec<u32> = scratch.visited.iter().map(|&(i, _)| i).collect();
-        scanned.sort_unstable();
+        // Sorted in place, the visit log is a merge cursor over the
+        // leaf indices (each leaf is scanned at most once).
+        scratch.visited.sort_unstable();
+        let mut scanned = scratch.visited.iter().map(|&(i, _)| i as usize).peekable();
         let mut bound = f64::INFINITY;
         let mut truncated = 0usize;
-        let mut next = 0usize;
         for i in 0..self.leaves.len() {
-            if next < scanned.len() && scanned[next] as usize == i {
-                next += 1;
+            if scanned.next_if_eq(&i).is_some() {
                 continue;
             }
             truncated += 1;
@@ -1336,6 +1419,23 @@ mod tests {
         assert_eq!(got[2], Point2::new(0.5, 0.5));
         assert_eq!(got[3], Point2::new(0.4, 0.5));
         assert_eq!(got[4], Point2::new(0.5, 0.4));
+
+        // A tie at the pruning bound: `far` sits on the near edge of its
+        // block, exactly as far from the target as `near` (a 3-4-5
+        // triangle on the 1/64 grid, so both distances are exact). The
+        // target's own block yields `near` first; `far` is canonically
+        // smaller, so the block at exactly the k-th distance must still
+        // be examined.
+        let target = Point2::new(8.0 / 64.0, 11.0 / 64.0);
+        let near = Point2::new(11.0 / 64.0, 7.0 / 64.0);
+        let far = Point2::new(8.0 / 64.0, 16.0 / 64.0);
+        assert_eq!(
+            near.distance_squared(&target),
+            far.distance_squared(&target)
+        );
+        let tree = PrQuadtree::build(Rect::unit(), 1, [near, far]).unwrap();
+        let linear = LinearQuadtree::from_tree(&tree).unwrap();
+        assert_eq!(linear.k_nearest(&target, 1), vec![far]);
     }
 
     #[test]
@@ -1564,15 +1664,44 @@ mod proptests {
 
         #[test]
         fn knn_matches_exhaustive_selection(
-            raw in popan_proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..100),
-            tx in 0.0f64..1.0,
-            ty in 0.0f64..1.0,
-            k in 1usize..12,
+            raw in popan_proptest::collection::vec(
+                (0u8..10, 0.0f64..1.0, 0.0f64..1.0, 0u8..8, 0u8..8),
+                0..140,
+            ),
+            capacity in 1usize..6,
+            target_raw in (0u8..10, -0.5f64..1.5, -0.5f64..1.5, 0u8..9, 0u8..9),
+            k_raw in 0usize..1000,
         ) {
-            let points: Vec<Point2> = raw.iter().map(|&(x, y)| Point2::new(x, y)).collect();
-            let tree = PrQuadtree::build(Rect::unit(), 2, points.iter().copied()).unwrap();
+            // Messy inputs: uniform points, points and targets on the
+            // dyadic split lines i/8 (duplicates and equidistant ties),
+            // and a cluster at 2^-29 spacing straddling a split point,
+            // whose leaves sit at depth 29 — deep, yet inside the Morton
+            // resolution.
+            let fine = 0.5f64.powi(29);
+            let cluster = |i: u8, j: u8| {
+                Point2::new(
+                    0.5 + (f64::from(i) - 4.0) * fine,
+                    0.25 + (f64::from(j) - 4.0) * fine,
+                )
+            };
+            let points: Vec<Point2> = raw
+                .iter()
+                .map(|&(kind, x, y, i, j)| match kind {
+                    0..=4 => Point2::new(x, y),
+                    5..=7 => Point2::new(f64::from(i) / 8.0, f64::from(j) / 8.0),
+                    _ => cluster(i, j),
+                })
+                .collect();
+            // Targets cover [-0.5, 1.5)², so some lie outside the region.
+            let (target_kind, tx, ty, ti, tj) = target_raw;
+            let target = match target_kind {
+                0..=5 => Point2::new(tx, ty),
+                6..=7 => Point2::new(f64::from(ti) / 8.0, f64::from(tj) / 8.0),
+                _ => cluster(ti, tj),
+            };
+            let k = k_raw % (points.len() + 3);
+            let tree = PrQuadtree::build(Rect::unit(), capacity, points.iter().copied()).unwrap();
             let linear = LinearQuadtree::from_tree(&tree).unwrap();
-            let target = Point2::new(tx, ty);
             let got = linear.k_nearest(&target, k);
             let mut expect: Vec<(f64, Point2)> = points
                 .iter()
@@ -1584,6 +1713,22 @@ mod proptests {
             for (g, (_, e)) in got.iter().zip(&expect) {
                 prop_assert_eq!(g.x.to_bits(), e.x.to_bits());
                 prop_assert_eq!(g.y.to_bits(), e.y.to_bits());
+            }
+            // The bounded form's leaf sweep is an independent route to
+            // the same answer.
+            let mut swept = Vec::new();
+            let outcome = linear.k_nearest_bounded_into(
+                &target,
+                k,
+                &CostBudget::unbounded(),
+                &mut QueryScratch::new(),
+                &mut swept,
+            );
+            prop_assert!(outcome.is_complete());
+            prop_assert_eq!(swept.len(), got.len());
+            for (s, g) in swept.iter().zip(&got) {
+                prop_assert_eq!(s.x.to_bits(), g.x.to_bits());
+                prop_assert_eq!(s.y.to_bits(), g.y.to_bits());
             }
         }
     }

@@ -1,0 +1,213 @@
+//! Serving contracts at small sizes, in the root test suite.
+//!
+//! The full oracle differential, batch and chaos suites live in
+//! `popan-query` and run only when the whole workspace is tested. This
+//! file keeps a cheap copy of each contract in the root `cargo test`,
+//! so a serving regression fails the default run on its own:
+//!
+//! * snapshot range, count and k-NN answers are bit-identical to the
+//!   full-scan references `range_by_scan` / `knn_by_scan`, on a uniform
+//!   snapshot frozen straight from points and a clustered one frozen
+//!   from a PR quadtree;
+//! * the batch forms answer every query exactly as the serial forms do,
+//!   at its original index;
+//! * a corrupt candidate is quarantined while readers keep serving the
+//!   last good epoch.
+
+use popan::geom::{Point2, Rect};
+use popan::query::{
+    knn_by_scan, range_by_scan, BatchAnswers, BatchScratch, PublishError, Queryable, Snapshot,
+    SnapshotPublisher,
+};
+use popan::spatial::{PrQuadtree, QueryScratch, SnapshotSection};
+use popan::workload::points::{Clustered, PointSource, UniformRect};
+use popan::workload::TrialRunner;
+
+const N: usize = 2000;
+const CAPACITY: usize = 4;
+
+/// One query of the mixed load.
+#[derive(Debug, Clone, Copy)]
+enum Query {
+    Range(Rect),
+    Count(Rect),
+    Knn(Point2, usize),
+}
+
+fn uniform_points() -> Vec<Point2> {
+    let mut rng = TrialRunner::new(0x5e7e, 1).rng_for_trial(0);
+    UniformRect::unit().sample_n(&mut rng, N)
+}
+
+fn clustered_points() -> Vec<Point2> {
+    let mut rng = TrialRunner::new(0xc105, 1).rng_for_trial(0);
+    let source = Clustered::new(Rect::unit(), 8, 0.02, &mut rng);
+    let mut points = source.sample_n(&mut rng, N - 8);
+    // A coincident pile: ties the canonical orders must break.
+    points.extend([Point2::new(0.5, 0.5); 8]);
+    points
+}
+
+/// The two snapshots under test, each with the points it holds: the
+/// uniform one from the direct points → snapshot freeze, the clustered
+/// one from a PR quadtree.
+fn snapshots() -> Vec<(&'static str, Vec<Point2>, Snapshot)> {
+    let uniform = uniform_points();
+    let direct = Snapshot::from_points(0, Rect::unit(), CAPACITY, uniform.iter().copied()).unwrap();
+    let clustered = clustered_points();
+    let tree = PrQuadtree::build(Rect::unit(), CAPACITY, clustered.iter().copied()).unwrap();
+    let frozen = Snapshot::freeze(0, &tree).unwrap();
+    vec![
+        ("uniform/from_points", uniform, direct),
+        ("clustered/freeze", clustered, frozen),
+    ]
+}
+
+/// 96 queries, a third of each kind. Windows range from slivers to
+/// half the region and may stick out of it; k-NN targets lie in
+/// [-0.25, 1.25)², so some are outside the region, and k runs from 0
+/// past the snapshot size.
+fn queries() -> Vec<Query> {
+    let mut rng = TrialRunner::new(0x9e7, 1).rng_for_trial(0);
+    let corners = UniformRect::new(Rect::from_bounds(-0.1, -0.1, 1.0, 1.0)).sample_n(&mut rng, 64);
+    let targets =
+        UniformRect::new(Rect::from_bounds(-0.25, -0.25, 1.25, 1.25)).sample_n(&mut rng, 32);
+    let window = |i: usize, c: &Point2| {
+        let w = 0.002 + 0.5 * ((i * 37) % 64) as f64 / 64.0;
+        let h = 0.002 + 0.3 * ((i * 11) % 64) as f64 / 64.0;
+        Rect::from_bounds(c.x, c.y, c.x + w, c.y + h)
+    };
+    let mut out = Vec::with_capacity(96);
+    for (i, c) in corners.iter().enumerate() {
+        out.push(if i % 2 == 0 {
+            Query::Range(window(i, c))
+        } else {
+            Query::Count(window(i, c))
+        });
+    }
+    for (i, t) in targets.iter().enumerate() {
+        let k = match i {
+            0 => 0,
+            1 => N + 2,
+            _ => 1 + (i * 7) % 24,
+        };
+        out.push(Query::Knn(*t, k));
+    }
+    out
+}
+
+fn bits(points: &[Point2]) -> Vec<(u64, u64)> {
+    points
+        .iter()
+        .map(|p| (p.x.to_bits(), p.y.to_bits()))
+        .collect()
+}
+
+#[test]
+fn snapshot_answers_match_full_scans_bit_for_bit() {
+    let queries = queries();
+    let mut scratch = QueryScratch::new();
+    let mut out = Vec::new();
+    for (name, points, snap) in snapshots() {
+        assert_eq!(snap.len(), points.len(), "{name}");
+        for (i, q) in queries.iter().enumerate() {
+            match *q {
+                Query::Range(rect) => {
+                    snap.range_into(&rect, &mut scratch, &mut out);
+                    let expect = range_by_scan(points.iter().copied(), &rect);
+                    assert_eq!(bits(&out), bits(&expect), "{name} query {i}: range {rect}");
+                }
+                Query::Count(rect) => {
+                    let expect = range_by_scan(points.iter().copied(), &rect).len();
+                    let got = snap.count_with(&rect, &mut scratch);
+                    assert_eq!(got, expect, "{name} query {i}: count {rect}");
+                }
+                Query::Knn(target, k) => {
+                    snap.knn_into(&target, k, &mut scratch, &mut out);
+                    let expect = knn_by_scan(points.iter().copied(), &target, k);
+                    assert_eq!(
+                        bits(&out),
+                        bits(&expect),
+                        "{name} query {i}: knn {target} k={k}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn batch_answers_match_serial_answers_at_every_index() {
+    let queries = queries();
+    let rects: Vec<Rect> = queries
+        .iter()
+        .filter_map(|q| match *q {
+            Query::Range(r) | Query::Count(r) => Some(r),
+            Query::Knn(..) => None,
+        })
+        .collect();
+    let targets: Vec<Point2> = queries
+        .iter()
+        .filter_map(|q| match *q {
+            Query::Knn(t, _) => Some(t),
+            _ => None,
+        })
+        .collect();
+    let mut scratch = QueryScratch::new();
+    let mut serial = Vec::new();
+    let mut batch_scratch = BatchScratch::new();
+    let mut answers = BatchAnswers::new();
+    for (name, _, snap) in snapshots() {
+        snap.range_batch_into(&rects, &mut batch_scratch, &mut answers);
+        assert_eq!(answers.len(), rects.len(), "{name}");
+        for (i, rect) in rects.iter().enumerate() {
+            snap.range_into(rect, &mut scratch, &mut serial);
+            assert_eq!(bits(answers.answer(i)), bits(&serial), "{name} range {i}");
+        }
+        for k in [1, 10] {
+            snap.knn_batch_into(&targets, k, &mut batch_scratch, &mut answers);
+            assert_eq!(answers.len(), targets.len(), "{name}");
+            for (i, target) in targets.iter().enumerate() {
+                snap.knn_into(target, k, &mut scratch, &mut serial);
+                assert_eq!(
+                    bits(answers.answer(i)),
+                    bits(&serial),
+                    "{name} knn {i} k={k}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn corrupt_candidate_is_quarantined_and_readers_keep_the_last_good_epoch() {
+    let mut snaps = snapshots().into_iter();
+    let (_, _, first) = snaps.next().unwrap();
+    let (_, _, second) = snaps.next().unwrap();
+    let probe = Point2::new(0.3, 0.6);
+    let expect = first.knn(&probe, 5);
+
+    let mut publisher = SnapshotPublisher::new(first);
+    let mut reader = publisher.subscribe();
+    for (round, section) in [
+        SnapshotSection::Leaves,
+        SnapshotSection::Blocks,
+        SnapshotSection::Points,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut damaged = second.clone();
+        assert!(damaged.corrupt_section(section, 977 * round as u64 + 13));
+        let err = publisher.publish(damaged).unwrap_err();
+        assert!(matches!(err, PublishError::Corrupt(_)), "{section}: {err}");
+        assert_eq!(publisher.quarantine_log().len(), round + 1, "{section}");
+        assert_eq!(reader.current().epoch(), 0, "{section}");
+        assert_eq!(reader.current().knn(&probe, 5), expect, "{section}");
+    }
+
+    let clean = second.knn(&probe, 5);
+    assert_eq!(publisher.publish(second).unwrap(), 1);
+    assert_eq!(reader.current().epoch(), 1);
+    assert_eq!(reader.current().knn(&probe, 5), clean);
+}
