@@ -268,6 +268,10 @@ fn render_json(group: &str, smoke: bool, results: &[BenchStats]) -> String {
     out.push_str("{\n");
     out.push_str(&format!("  \"group\": \"{}\",\n", json_escape(group)));
     out.push_str(&format!("  \"smoke\": {smoke},\n"));
+    // The host's core count, so a reader can tell reads that do not
+    // scale from a host with too few cores.
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    out.push_str(&format!("  \"available_parallelism\": {cores},\n"));
     out.push_str("  \"benchmarks\": [\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
@@ -355,6 +359,7 @@ mod tests {
         group.finish();
         let json = std::fs::read_to_string(dir.join("BENCH_harness_selftest.json")).unwrap();
         assert!(json.contains("\"group\": \"harness_selftest\""));
+        assert!(json.contains("\"available_parallelism\": "));
         assert!(json.contains("\"id\": \"noop\""));
         assert!(json.contains("\"median_ns\""));
         let _ = std::fs::remove_dir_all(&dir);

@@ -71,6 +71,10 @@ POPAN_THREADS=4 cargo test -q --offline -p popan-query --test batch_equivalence
 # post-fault recovery publish must restore byte-identical digests.
 POPAN_THREADS=1 cargo test -q --offline -p popan-query --test chaos
 POPAN_THREADS=4 cargo test -q --offline -p popan-query --test chaos
+# perfbench self-test (its own workspace, tiny sizes): pins the serving
+# answer and snapshot digests and the query.* work counters, so a change
+# that moves any of them fails here, not only in a benchmark run.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 # Graceful degradation: an injected panic fails one registry entry; the
 # runner must exit 1 yet still produce the other artifacts.
@@ -117,4 +121,4 @@ for group in spatial query split query_faults lint; do
     echo "verify: bench smoke did not produce BENCH_$group.json" >&2; exit 1; }
 done
 
-echo "verify: lint (baselined graph analysis, report archived) + build + test (POPAN_THREADS=1 and =4) + faults + resume + query suite + chaos suite + split bit-identity + bench smoke (BENCH_spatial, BENCH_query, BENCH_split, BENCH_query_faults, BENCH_lint) all green (offline)"
+echo "verify: lint (baselined graph analysis, report archived) + build + test (POPAN_THREADS=1 and =4) + faults + resume + query suite + chaos suite + perfbench self-test + split bit-identity + bench smoke (BENCH_spatial, BENCH_query, BENCH_split, BENCH_query_faults, BENCH_lint) all green (offline)"

@@ -8,7 +8,8 @@
 //! * snapshot range, count and k-NN answers are bit-identical to the
 //!   full-scan references `range_by_scan` / `knn_by_scan`, on a uniform
 //!   snapshot frozen straight from points and a clustered one frozen
-//!   from a PR quadtree;
+//!   from a PR quadtree, windows whose edges sit on block edges
+//!   included;
 //! * the batch forms answer every query exactly as the serial forms do,
 //!   at its original index;
 //! * a corrupt candidate is quarantined while readers keep serving the
@@ -26,6 +27,31 @@ use popan::workload::TrialRunner;
 const N: usize = 2000;
 const CAPACITY: usize = 4;
 
+/// Windows with edges on dyadic split lines: exactly the depth-1 block
+/// SE, exactly a depth-4 block, and one whose `hi` edges are the `lo`
+/// edges of the blocks beyond it. Inside the first two the descent
+/// takes whole blocks; along their edges it filters.
+const DYADIC_WINDOWS: [[f64; 4]; 3] = [
+    [0.5, 0.0, 1.0, 0.5],
+    [0.5, 0.25, 0.5625, 0.3125],
+    [0.25, 0.375, 0.5, 0.5],
+];
+
+/// Points exactly on those lines and corners: a window holds its `lo`
+/// edges and not its `hi` edges.
+const LINE_POINTS: [(f64, f64); 6] = [
+    (0.5, 0.25),
+    (0.5, 0.5),
+    (0.25, 0.375),
+    (0.5625, 0.3125),
+    (0.5, 0.4),
+    (0.375, 0.5),
+];
+
+fn line_points() -> impl Iterator<Item = Point2> {
+    LINE_POINTS.iter().map(|&(x, y)| Point2::new(x, y))
+}
+
 /// One query of the mixed load.
 #[derive(Debug, Clone, Copy)]
 enum Query {
@@ -36,15 +62,18 @@ enum Query {
 
 fn uniform_points() -> Vec<Point2> {
     let mut rng = TrialRunner::new(0x5e7e, 1).rng_for_trial(0);
-    UniformRect::unit().sample_n(&mut rng, N)
+    let mut points = UniformRect::unit().sample_n(&mut rng, N - LINE_POINTS.len());
+    points.extend(line_points());
+    points
 }
 
 fn clustered_points() -> Vec<Point2> {
     let mut rng = TrialRunner::new(0xc105, 1).rng_for_trial(0);
     let source = Clustered::new(Rect::unit(), 8, 0.02, &mut rng);
-    let mut points = source.sample_n(&mut rng, N - 8);
+    let mut points = source.sample_n(&mut rng, N - 8 - LINE_POINTS.len());
     // A coincident pile: ties the canonical orders must break.
     points.extend([Point2::new(0.5, 0.5); 8]);
+    points.extend(line_points());
     points
 }
 
@@ -63,10 +92,11 @@ fn snapshots() -> Vec<(&'static str, Vec<Point2>, Snapshot)> {
     ]
 }
 
-/// 96 queries, a third of each kind. Windows range from slivers to
-/// half the region and may stick out of it; k-NN targets lie in
-/// [-0.25, 1.25)², so some are outside the region, and k runs from 0
-/// past the snapshot size.
+/// 102 queries: 64 windows, alternately range and count, from slivers
+/// to half the region and possibly sticking out of it; each dyadic
+/// window as a range and a count; and 32 k-NN targets in
+/// [-0.25, 1.25)², so some are outside the region, with k from 0 past
+/// the snapshot size.
 fn queries() -> Vec<Query> {
     let mut rng = TrialRunner::new(0x9e7, 1).rng_for_trial(0);
     let corners = UniformRect::new(Rect::from_bounds(-0.1, -0.1, 1.0, 1.0)).sample_n(&mut rng, 64);
@@ -77,13 +107,17 @@ fn queries() -> Vec<Query> {
         let h = 0.002 + 0.3 * ((i * 11) % 64) as f64 / 64.0;
         Rect::from_bounds(c.x, c.y, c.x + w, c.y + h)
     };
-    let mut out = Vec::with_capacity(96);
+    let mut out = Vec::with_capacity(102);
     for (i, c) in corners.iter().enumerate() {
         out.push(if i % 2 == 0 {
             Query::Range(window(i, c))
         } else {
             Query::Count(window(i, c))
         });
+    }
+    for [x_lo, y_lo, x_hi, y_hi] in DYADIC_WINDOWS {
+        let rect = Rect::from_bounds(x_lo, y_lo, x_hi, y_hi);
+        out.extend([Query::Range(rect), Query::Count(rect)]);
     }
     for (i, t) in targets.iter().enumerate() {
         let k = match i {
