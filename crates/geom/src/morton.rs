@@ -128,100 +128,6 @@ pub fn cells_at_depth(depth: u32) -> u64 {
     1u64 << (2 * (MORTON_BITS - depth))
 }
 
-/// One half-open interval `[lo, hi)` of Morton codes produced by
-/// [`decompose_ranges_into`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MortonSpan {
-    /// First code in the span.
-    pub lo: u64,
-    /// One past the last code in the span.
-    pub hi: u64,
-    /// `true` when every block the span was built from lies entirely
-    /// inside the query rectangle, so points with codes in the span are
-    /// matches without a geometric re-check. `false` spans are
-    /// *boundary* spans: they cover the query conservatively and their
-    /// points must still be filtered by the exact rectangle test.
-    pub covered: bool,
-}
-
-/// Decomposes a query rectangle into sorted, disjoint Morton code spans.
-///
-/// Walks the regular decomposition of `region` (the same
-/// [`crate::Rect::quadrant`] recursion the PR trees use, so span
-/// boundaries are bit-exactly the codes a frozen tree assigns its
-/// leaves): blocks fully inside `query` become `covered` spans, blocks
-/// merely overlapping it are refined until `max_depth`, where they are
-/// emitted as boundary spans. Adjacent spans with the same flag merge,
-/// and the output is ascending and pairwise disjoint.
-///
-/// Every point of `query ∩ region` has its Morton code inside exactly
-/// one span (the spans jointly cover the query; `covered` spans contain
-/// only query points, boundary spans may also hold near-boundary
-/// non-matches). Visiting order is quadrant-index order, which *is*
-/// ascending Morton order, so the result needs no sort and is fully
-/// deterministic.
-///
-/// `max_depth` bounds the refinement (must be ≤ [`MORTON_BITS`]); the
-/// number of boundary spans grows like the query perimeter,
-/// O(2^max_depth) in the worst case, so serving paths pick a small
-/// constant (see `QueryScratch` in `popan-spatial`).
-pub fn decompose_ranges_into(
-    query: &Rect,
-    region: &Rect,
-    max_depth: u32,
-    out: &mut Vec<MortonSpan>,
-) {
-    assert!(
-        max_depth <= MORTON_BITS,
-        "decomposition depth {max_depth} exceeds {MORTON_BITS}"
-    );
-    out.clear();
-    decompose_rec(query, region, region, 0, max_depth, out);
-}
-
-/// Allocating convenience form of [`decompose_ranges_into`].
-pub fn decompose_ranges(query: &Rect, region: &Rect, max_depth: u32) -> Vec<MortonSpan> {
-    let mut out = Vec::new();
-    decompose_ranges_into(query, region, max_depth, &mut out);
-    out
-}
-
-fn decompose_rec(
-    query: &Rect,
-    region: &Rect,
-    block: &Rect,
-    depth: u32,
-    max_depth: u32,
-    out: &mut Vec<MortonSpan>,
-) {
-    if !block.overlaps(query) {
-        return;
-    }
-    let fully_inside = query.contains_rect(block);
-    if fully_inside || depth == max_depth {
-        let corner = Point2::new(block.x().lo(), block.y().lo());
-        let lo = morton_of_point(&corner, region);
-        let hi = lo + cells_at_depth(depth);
-        push_span(out, lo, hi, fully_inside);
-        return;
-    }
-    for q in crate::Quadrant::ALL {
-        decompose_rec(query, region, &block.quadrant(q), depth + 1, max_depth, out);
-    }
-}
-
-/// Appends a span, merging it into the previous one when contiguous and
-/// identically flagged.
-fn push_span(out: &mut Vec<MortonSpan>, lo: u64, hi: u64, covered: bool) {
-    if let Some(last) = out.last_mut() {
-        if last.hi == lo && last.covered == covered {
-            last.hi = hi;
-            return;
-        }
-    }
-    out.push(MortonSpan { lo, hi, covered });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,122 +210,6 @@ mod tests {
         block_id_at_depth(0, MORTON_BITS + 1);
     }
 
-    fn check_spans(spans: &[MortonSpan]) {
-        for s in spans {
-            assert!(s.lo < s.hi, "empty span {s:?}");
-        }
-        for w in spans.windows(2) {
-            assert!(w[0].hi <= w[1].lo, "overlap/disorder: {w:?}");
-            // Contiguous same-flag spans must have merged.
-            assert!(
-                w[0].hi < w[1].lo || w[0].covered != w[1].covered,
-                "unmerged neighbors: {w:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn decompose_whole_region_is_one_covered_span() {
-        let r = Rect::unit();
-        let spans = decompose_ranges(&r, &r, 8);
-        assert_eq!(
-            spans,
-            vec![MortonSpan {
-                lo: 0,
-                hi: cells_at_depth(0),
-                covered: true
-            }]
-        );
-    }
-
-    #[test]
-    fn decompose_disjoint_query_is_empty() {
-        let spans = decompose_ranges(&Rect::from_bounds(2.0, 2.0, 3.0, 3.0), &Rect::unit(), 8);
-        assert!(spans.is_empty());
-    }
-
-    #[test]
-    fn decompose_quadrant_aligned_query_is_exact() {
-        let r = Rect::unit();
-        // The SW quadrant: one covered span, a quarter of the space.
-        let spans = decompose_ranges(&Rect::from_bounds(0.0, 0.0, 0.5, 0.5), &r, 8);
-        assert_eq!(
-            spans,
-            vec![MortonSpan {
-                lo: 0,
-                hi: cells_at_depth(1),
-                covered: true
-            }]
-        );
-        // The NE quadrant starts three quarters in.
-        let spans = decompose_ranges(&Rect::from_bounds(0.5, 0.5, 1.0, 1.0), &r, 8);
-        assert_eq!(
-            spans,
-            vec![MortonSpan {
-                lo: 3 * cells_at_depth(1),
-                hi: cells_at_depth(0),
-                covered: true
-            }]
-        );
-    }
-
-    #[test]
-    fn decompose_spans_cover_query_points() {
-        let r = Rect::unit();
-        let query = Rect::from_bounds(0.13, 0.22, 0.61, 0.58);
-        for depth in [0u32, 1, 3, 6, 10] {
-            let spans = decompose_ranges(&query, &r, depth);
-            check_spans(&spans);
-            for i in 0..40 {
-                for j in 0..40 {
-                    let p = Point2::new(
-                        0.13 + 0.48 * (i as f64 + 0.5) / 40.0,
-                        0.22 + 0.36 * (j as f64 + 0.5) / 40.0,
-                    );
-                    assert!(query.contains(&p));
-                    let code = morton_of_point(&p, &r);
-                    assert!(
-                        spans.iter().any(|s| s.lo <= code && code < s.hi),
-                        "point {p} code {code} escaped spans at depth {depth}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn decompose_covered_spans_only_contain_query_points() {
-        let r = Rect::unit();
-        let query = Rect::from_bounds(0.2, 0.3, 0.7, 0.9);
-        let spans = decompose_ranges(&query, &r, 8);
-        check_spans(&spans);
-        // Sample codes from covered spans; decoding must land in the query.
-        for s in spans.iter().filter(|s| s.covered) {
-            for code in [s.lo, s.lo + (s.hi - s.lo) / 2, s.hi - 1] {
-                let (qx, qy) = demorton2(code);
-                let scale = (1u64 << MORTON_BITS) as f64;
-                let p = Point2::new((qx as f64 + 0.5) / scale, (qy as f64 + 0.5) / scale);
-                assert!(query.contains(&p), "covered code {code} decodes outside");
-            }
-        }
-    }
-
-    #[test]
-    fn decompose_depth_zero_marks_everything_boundary() {
-        let r = Rect::unit();
-        let query = Rect::from_bounds(0.1, 0.1, 0.9, 0.9);
-        let spans = decompose_ranges(&query, &r, 0);
-        assert_eq!(spans.len(), 1);
-        assert!(!spans[0].covered);
-        assert_eq!(spans[0].hi - spans[0].lo, cells_at_depth(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds")]
-    fn decompose_depth_bound_enforced() {
-        decompose_ranges(&Rect::unit(), &Rect::unit(), MORTON_BITS + 1);
-    }
-
     #[test]
     fn cells_at_depth_halves_per_level() {
         assert_eq!(cells_at_depth(0), 1u64 << (2 * MORTON_BITS));
@@ -469,26 +259,6 @@ mod proptests {
         #[test]
         fn round_trip(x in 0u32..0x8000_0000, y in 0u32..0x8000_0000) {
             prop_assert_eq!(demorton2(morton2(x, y)), (x, y));
-        }
-
-        #[test]
-        fn decomposed_spans_cover_random_query_points(
-            qx in 0.0f64..0.9, qy in 0.0f64..0.9,
-            qw in 0.01f64..0.4, qh in 0.01f64..0.4,
-            px in 0.0f64..1.0, py in 0.0f64..1.0,
-            depth in 0u32..12,
-        ) {
-            let r = Rect::unit();
-            let query = Rect::from_bounds(qx, qy, (qx + qw).min(1.0), (qy + qh).min(1.0));
-            let spans = decompose_ranges(&query, &r, depth);
-            for w in spans.windows(2) {
-                prop_assert!(w[0].hi <= w[1].lo);
-            }
-            let p = Point2::new(px, py);
-            if query.contains(&p) {
-                let code = morton_of_point(&p, &r);
-                prop_assert!(spans.iter().any(|s| s.lo <= code && code < s.hi));
-            }
         }
 
         #[test]

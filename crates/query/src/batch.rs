@@ -29,7 +29,6 @@ use popan_geom::morton;
 use popan_geom::{Point2, Rect};
 use popan_spatial::QueryScratch;
 
-use crate::publisher::SnapshotReader;
 use crate::snapshot::Snapshot;
 
 /// Reusable state for batch execution: the per-query scratch, the
@@ -202,45 +201,6 @@ impl Snapshot {
             out.push_staged(i, &staged);
             scratch.staged = staged;
         }
-    }
-}
-
-impl SnapshotReader {
-    /// [`Snapshot::range_batch_into`] against the reader's cached
-    /// snapshot. Serving never resyncs — call
-    /// [`SnapshotReader::refresh`] first when the freshest epoch is
-    /// wanted; the split keeps the batch entry on the zero-allocation
-    /// read path (the Q2 lint rule walks it).
-    pub fn range_batch_into(
-        &self,
-        queries: &[Rect],
-        scratch: &mut BatchScratch,
-        out: &mut BatchAnswers,
-    ) {
-        self.cached().range_batch_into(queries, scratch, out);
-    }
-
-    /// [`Snapshot::count_batch_with`] against the reader's cached
-    /// snapshot (see [`SnapshotReader::range_batch_into`] on refresh).
-    pub fn count_batch_with(
-        &self,
-        queries: &[Rect],
-        scratch: &mut BatchScratch,
-        out: &mut Vec<usize>,
-    ) {
-        self.cached().count_batch_with(queries, scratch, out);
-    }
-
-    /// [`Snapshot::knn_batch_into`] against the reader's cached
-    /// snapshot (see [`SnapshotReader::range_batch_into`] on refresh).
-    pub fn knn_batch_into(
-        &self,
-        targets: &[Point2],
-        k: usize,
-        scratch: &mut BatchScratch,
-        out: &mut BatchAnswers,
-    ) {
-        self.cached().knn_batch_into(targets, k, scratch, out);
     }
 }
 

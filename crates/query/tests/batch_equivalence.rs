@@ -172,11 +172,12 @@ fn concurrent_readers_agree_bit_for_bit() {
             std::thread::spawn(move || {
                 let mut scratch = BatchScratch::new();
                 let mut ranges = BatchAnswers::new();
-                reader.range_batch_into(&queries, &mut scratch, &mut ranges);
+                let snap = reader.cached();
+                snap.range_batch_into(&queries, &mut scratch, &mut ranges);
                 let mut counts = Vec::new();
-                reader.count_batch_with(&queries, &mut scratch, &mut counts);
+                snap.count_batch_with(&queries, &mut scratch, &mut counts);
                 let mut knn = BatchAnswers::new();
-                reader.knn_batch_into(&targets, 6, &mut scratch, &mut knn);
+                snap.knn_batch_into(&targets, 6, &mut scratch, &mut knn);
                 let range_bits: Vec<Vec<(u64, u64)>> = ranges.iter().map(bits).collect();
                 let knn_bits: Vec<Vec<(u64, u64)>> = knn.iter().map(bits).collect();
                 (range_bits, counts, knn_bits)

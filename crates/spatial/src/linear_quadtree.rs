@@ -19,12 +19,12 @@
 //!   that fail [`morton::morton_grid_exact`] with
 //!   [`FreezeError::RegionNotGridExact`]: only there do the leaf code
 //!   ranges tile the Morton range exactly.
-//! * **Descent range queries.** [`LinearQuadtree::range_query_into`]
-//!   and [`LinearQuadtree::count_in_range_with`] walk the k-NN's
-//!   implicit Morton hierarchy: a block inside the window is copied (or
-//!   counted off the flat offsets) as one slab range, a block outside it
-//!   is skipped, and only the leaves the window's edges cut pay the
-//!   per-point rectangle test.
+//! * **One range walk.** Range and count, bounded or not, walk the
+//!   k-NN's implicit Morton hierarchy: a block inside the window is
+//!   copied (or counted off the flat offsets) as one slab range, a block
+//!   outside it is skipped, and only the leaves the window's edges cut
+//!   pay the per-point rectangle test. The bounded forms stop refining
+//!   at [`RANGE_DECOMPOSE_DEPTH`] and charge leaf by leaf in slab order.
 //! * **Deterministic, nearest-first k-NN.** [`LinearQuadtree::k_nearest_into`]
 //!   returns the `k` nearest points under the canonical
 //!   `(distance², Point2::canonical_cmp)` order, so coincident-point and
@@ -38,7 +38,7 @@
 //!   `crates/query/tests/zero_alloc_read.rs`).
 
 use crate::pr_quadtree::PrQuadtree;
-use popan_geom::morton::{self, MortonSpan};
+use popan_geom::morton;
 use popan_geom::{Interval, Point2, Rect};
 use popan_rng::hash::{Fnv64, Mix64x4};
 use std::cmp::Ordering;
@@ -82,27 +82,23 @@ impl std::fmt::Display for FreezeError {
 
 impl std::error::Error for FreezeError {}
 
-/// Depth of the Morton span decomposition used by the *bounded* range
-/// paths only (the unbounded ones descend the slab): deep enough that
-/// boundary leaves dominate only pathologically small queries, shallow
-/// enough that the span list stays a few hundred entries (it grows with
-/// the query perimeter, O(2^depth) worst case).
+/// Charge granularity of the bounded range walk: it stops refining a
+/// block the window's edges cut at this depth and charges every leaf
+/// under it. The unbounded forms refine down to single leaves.
 pub const RANGE_DECOMPOSE_DEPTH: u32 = 8;
 
 /// Reusable buffers for the allocation-free query paths. One scratch per
-/// reader thread; contents are meaningless between calls.
+/// reader thread; contents are meaningless between calls. The unbounded
+/// range and count descents need none of them.
 #[derive(Debug, Default, Clone)]
 pub struct QueryScratch {
-    /// Morton span decomposition of the current *bounded* range query.
-    spans: Vec<MortonSpan>,
     /// k-NN candidate list: `(distance², point)` sorted by the canonical
     /// k-NN order.
     best: Vec<(f64, Point2)>,
-    /// Leaves scanned by the current *bounded* query: `(leaf index,
-    /// covered-by-span)`. The budgeted paths replay this list to trim a
-    /// partial answer to its guaranteed canonical prefix.
-    visited: Vec<(u32, bool)>,
-    /// Staging buffer for the bounded count path (it must materialize
+    /// Indices of the leaves the current *bounded* k-NN scanned; it
+    /// replays them to find the unscanned leaves that cap its answer.
+    visited: Vec<u32>,
+    /// Staging buffer for the bounded count (it must materialize
     /// candidates to trim them against the truncation bound).
     staged: Vec<Point2>,
 }
@@ -177,10 +173,10 @@ impl SlabFootprint {
 /// Work is measured in deterministic units — leaves scanned and points
 /// read off the slabs — never wall-clock time, so a budgeted answer is a
 /// pure function of (snapshot, query, budget) and the determinism lint's
-/// D2 rule holds. Metadata sweeps (span decomposition, the pruning scan
-/// over leaf records) are O(leaf count) and not charged: the budget
-/// bounds slab traffic, which is what a pathological or corrupted query
-/// would otherwise blow up.
+/// D2 rule holds. Metadata work (the blocks the range walk examines,
+/// the k-NN's pruning scan over leaf records) is not charged: the
+/// budget bounds slab traffic, which is what a pathological or
+/// corrupted query would otherwise blow up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostBudget {
     /// Leaves whose point slices may be scanned.
@@ -234,7 +230,7 @@ pub enum BoundedOutcome {
         visited: QueryCost,
         /// Candidate leaves that were *not* examined; their contents are
         /// what the prefix guarantee had to truncate against.
-        truncated_spans: usize,
+        truncated_leaves: usize,
     },
 }
 
@@ -382,9 +378,9 @@ pub struct LinearQuadtree {
     /// ranges partition the full Morton range.
     leaves: Vec<LeafEntry>,
     /// `blocks[i]` is the geometric rect of `leaves[i]`, precomputed at
-    /// freeze. Only the bounded k-NN's leaf sweep and the range
-    /// truncation bound read it; the serving k-NN derives its block
-    /// rects from the region as it descends.
+    /// freeze. Only the bounded forms read it: the k-NN's leaf sweep and
+    /// the range walk's truncation bound. The descents derive their
+    /// block rects from the region.
     blocks: Vec<Rect>,
     /// All points, grouped by leaf.
     points: Vec<Point2>,
@@ -497,6 +493,15 @@ impl LinearQuadtree {
         self.run_points(std::slice::from_ref(l))
     }
 
+    /// The block rects of a leaf run, parallel to it. Empty for a run
+    /// that is not part of the leaf slab.
+    fn run_blocks(&self, run: &[LeafEntry]) -> &[Rect] {
+        let start = run.first().and_then(|l| self.leaves.element_offset(l));
+        start
+            .and_then(|start| self.blocks.get(start..start + run.len()))
+            .unwrap_or_default()
+    }
+
     fn leaf_index_of(&self, p: &Point2) -> Option<usize> {
         if !self.region.contains(p) {
             return None;
@@ -549,11 +554,9 @@ impl LinearQuadtree {
     /// Appends all stored points inside `query` to `out` (cleared
     /// first), in slab order: the order of [`LinearQuadtree::points`].
     ///
-    /// A depth-first descent over the implicit Morton hierarchy that
-    /// [`LinearQuadtree::k_nearest_into`] walks, children in quadrant
-    /// order (= Morton = slab order): a block inside `query` copies its
-    /// leaf run's points as one slice, a block disjoint from it is
-    /// skipped, and a boundary leaf is filtered through the half-open
+    /// The walk is [`LinearQuadtree::range_descend`] down to single
+    /// leaves: a block inside `query` copies its leaf run's points as
+    /// one slice, and a boundary leaf is filtered through the half-open
     /// [`Rect::contains`], so only the leaves the window's edges cut
     /// pay a per-point test. The descent needs no buffers, so `scratch`
     /// is unused. Allocation-free once `out` is warm.
@@ -567,9 +570,15 @@ impl LinearQuadtree {
         self.range_descend(
             self.root_block(),
             query,
-            out,
-            &|points, out| out.extend_from_slice(points),
-            &|points, query, out| out.extend(points.iter().filter(|p| query.contains(p)).copied()),
+            morton::MORTON_BITS,
+            &mut |run, whole| {
+                let points = self.run_points(run);
+                if whole {
+                    out.extend_from_slice(points);
+                } else {
+                    out.extend(points.iter().filter(|p| query.contains(p)).copied());
+                }
+            },
         );
     }
 
@@ -590,34 +599,41 @@ impl LinearQuadtree {
         self.range_descend(
             self.root_block(),
             query,
-            &mut count,
-            &|points, count| *count += points.len(),
-            &|points, query, count| *count += points.iter().filter(|p| query.contains(p)).count(),
+            morton::MORTON_BITS,
+            &mut |run, whole| {
+                let points = self.run_points(run);
+                count += if whole {
+                    points.len()
+                } else {
+                    points.iter().filter(|p| query.contains(p)).count()
+                };
+            },
         );
         count
     }
 
-    /// One step of the range descent: `bulk` takes the points of a
-    /// block inside `query`, `filter` those of a boundary leaf, each
-    /// point at most once and in slab order. A run that cannot split
-    /// further (only a damaged slab has one) is filtered whole.
-    fn range_descend<Acc>(
+    /// The one range walk, over the implicit Morton hierarchy the k-NN
+    /// descends, children in quadrant (= Morton = slab) order. A block
+    /// disjoint from `query` is skipped; one inside it hands its leaf
+    /// run to `visit` as `whole`; a single leaf, a block at depth `cut`
+    /// (≤ [`morton::MORTON_BITS`]) or a run that cannot split (only a
+    /// damaged slab has one) hands its run over to be filtered.
+    fn range_descend(
         &self,
         block: SlabBlock<'_>,
         query: &Rect,
-        acc: &mut Acc,
-        bulk: &impl Fn(&[Point2], &mut Acc),
-        filter: &impl Fn(&[Point2], &Rect, &mut Acc),
+        cut: u32,
+        visit: &mut impl FnMut(&[LeafEntry], bool),
     ) {
         if !block.rect.overlaps(query) {
             return;
         }
         if query.contains_rect(&block.rect) {
-            bulk(self.run_points(block.run), acc);
-        } else if block.run.len() <= 1 || block.depth >= morton::MORTON_BITS {
-            filter(self.run_points(block.run), query, acc);
+            visit(block.run, true);
+        } else if block.run.len() <= 1 || block.depth >= cut {
+            visit(block.run, false);
         } else {
-            block.for_each_child(|child| self.range_descend(child, query, acc, bulk, filter));
+            block.for_each_child(|child| self.range_descend(child, query, cut, visit));
         }
     }
 
@@ -679,7 +695,7 @@ impl LinearQuadtree {
         best: &mut Vec<(f64, Point2)>,
     ) {
         if block.run.len() <= 1 || block.depth >= morton::MORTON_BITS {
-            Self::knn_scan_leaf(self.run_points(block.run), target, k, best);
+            knn_scan_leaf(self.run_points(block.run), target, k, best);
             return;
         }
         // The children that hold points, each with its min-distance².
@@ -702,209 +718,105 @@ impl LinearQuadtree {
         }
     }
 
-    /// Folds one leaf's points into the sorted candidate list.
-    fn knn_scan_leaf(points: &[Point2], target: &Point2, k: usize, best: &mut Vec<(f64, Point2)>) {
-        for p in points {
-            let cand = (p.distance_squared(target), *p);
-            if best.len() == k
-                && best
-                    .last()
-                    .is_some_and(|worst| knn_cmp(&cand, worst) == Ordering::Greater)
-            {
-                continue;
-            }
-            let pos = best.partition_point(|e| knn_cmp(e, &cand) != std::cmp::Ordering::Greater);
-            best.insert(pos, cand);
-            if best.len() > k {
-                best.pop();
-            }
-        }
-    }
-
     /// Budgeted range query: like
     /// [`LinearQuadtree::range_query_into`], but stops when `budget` is
     /// exhausted and degrades to the **guaranteed canonical prefix** of
     /// the full answer instead of running unbounded work.
     ///
-    /// `out` is always sorted by [`Point2::canonical_cmp`]. On
-    /// [`BoundedOutcome::Partial`], every returned point is a true
-    /// answer and *no* canonically-smaller answer is missing: the sweep
-    /// records which candidate leaves went unexamined, takes the
-    /// canonically smallest possible answer point any of them could
-    /// contain (the canonical-min corner of `block ∩ query`), and trims
-    /// the collected answers strictly below that bound. The result is
-    /// exactly the full answer's canonical prefix below the bound.
+    /// `out` is always sorted by [`Point2::canonical_cmp`]. The walk,
+    /// cut at [`RANGE_DECOMPOSE_DEPTH`], charges the leaves it reaches
+    /// in slab order until the first one the budget cannot pay. Every
+    /// later leaf whose block overlaps `query` could hold answers no
+    /// smaller than the canonical-min corner of `block ∩ query`, so the
+    /// answers collected are trimmed strictly below the smallest such
+    /// corner: on [`BoundedOutcome::Partial`] the result is exactly the
+    /// full answer's canonical prefix below it. `scratch` is unused.
     pub fn range_query_bounded_into(
         &self,
         query: &Rect,
         budget: &CostBudget,
-        scratch: &mut QueryScratch,
+        _scratch: &mut QueryScratch,
         out: &mut Vec<Point2>,
     ) -> BoundedOutcome {
         out.clear();
-        let exhausted = self.bounded_sweep(query, budget, scratch, out);
+        let outcome = self.range_bounded(query, budget, out);
         out.sort_unstable_by(Point2::canonical_cmp);
-        let mut visited = QueryCost::default();
-        for &(i, _) in &scratch.visited {
-            visited.leaf_visits += 1;
-            visited.point_visits += u64::from(self.leaves[i as usize].points_len);
-        }
-        match exhausted {
-            None => BoundedOutcome::Complete { visited },
-            Some(resume) => {
-                let (bound, truncated) = self.truncation_bound(query, scratch, resume);
-                match bound {
-                    // Every unexamined leaf was outside the query: the
-                    // answer is in fact complete.
-                    None => BoundedOutcome::Complete { visited },
-                    Some(bound) => {
-                        let keep =
-                            out.partition_point(|p| p.canonical_cmp(&bound) == Ordering::Less);
-                        out.truncate(keep);
-                        BoundedOutcome::Partial {
-                            visited,
-                            truncated_spans: truncated,
-                        }
-                    }
-                }
-            }
-        }
+        outcome
     }
 
-    /// Budgeted count: returns `(count, outcome)` where on
-    /// [`BoundedOutcome::Partial`] the count equals
-    /// `range_query_bounded_into(..).len()` under the same budget — the
-    /// size of the guaranteed canonical prefix. The recount after
-    /// exhaustion re-reads the already-visited leaves, so a partial
-    /// count costs at most twice the point budget.
+    /// Budgeted count: returns `(count, outcome)`, the length and the
+    /// outcome of the answer `range_query_bounded_into` gives under the
+    /// same budget — on [`BoundedOutcome::Partial`], the size of the
+    /// guaranteed canonical prefix. It stages the charged leaves'
+    /// matches in `scratch` to trim them against the truncation bound.
     pub fn count_in_range_bounded_with(
         &self,
         query: &Rect,
         budget: &CostBudget,
         scratch: &mut QueryScratch,
     ) -> (usize, BoundedOutcome) {
-        let mut staged = std::mem::take(&mut scratch.staged);
-        staged.clear();
-        let exhausted = self.bounded_sweep(query, budget, scratch, &mut staged);
-        let mut visited = QueryCost::default();
-        for &(i, _) in &scratch.visited {
-            visited.leaf_visits += 1;
-            visited.point_visits += u64::from(self.leaves[i as usize].points_len);
-        }
-        let outcome = match exhausted {
-            None => (staged.len(), BoundedOutcome::Complete { visited }),
-            Some(resume) => {
-                let (bound, truncated) = self.truncation_bound(query, scratch, resume);
-                match bound {
-                    None => (staged.len(), BoundedOutcome::Complete { visited }),
-                    Some(bound) => {
-                        let kept = staged
-                            .iter()
-                            .filter(|p| p.canonical_cmp(&bound) == Ordering::Less)
-                            .count();
-                        (
-                            kept,
-                            BoundedOutcome::Partial {
-                                visited,
-                                truncated_spans: truncated,
-                            },
-                        )
-                    }
-                }
-            }
-        };
-        scratch.staged = staged;
-        outcome
+        scratch.staged.clear();
+        let outcome = self.range_bounded(query, budget, &mut scratch.staged);
+        (scratch.staged.len(), outcome)
     }
 
-    /// The shared budgeted sweep: visits candidate leaves in Morton
-    /// order, appending matches to `out` and recording visited leaves in
-    /// `scratch.visited`, until the budget runs out. Returns the resume
-    /// point `(span index, leaf cursor)` on exhaustion.
-    fn bounded_sweep(
+    /// The walk behind both bounded range forms (see
+    /// [`LinearQuadtree::range_query_bounded_into`]): appends the
+    /// guaranteed prefix of the answer to `out`, unsorted.
+    fn range_bounded(
         &self,
         query: &Rect,
         budget: &CostBudget,
-        scratch: &mut QueryScratch,
         out: &mut Vec<Point2>,
-    ) -> Option<(usize, usize)> {
-        scratch.visited.clear();
-        if !self.region.overlaps(query) {
-            scratch.spans.clear();
-            return None;
-        }
-        morton::decompose_ranges_into(
-            query,
-            &self.region,
-            RANGE_DECOMPOSE_DEPTH,
-            &mut scratch.spans,
-        );
-        let mut cost = QueryCost::default();
-        let mut cursor = 0usize;
-        for si in 0..scratch.spans.len() {
-            let span = scratch.spans[si];
-            cursor += self.leaves[cursor..].partition_point(|l| l.code_hi <= span.lo);
-            while cursor < self.leaves.len() && self.leaves[cursor].code_lo < span.hi {
-                let l = &self.leaves[cursor];
-                let pts = u64::from(l.points_len);
-                if cost.leaf_visits + 1 > budget.leaf_visits
-                    || cost.point_visits + pts > budget.point_visits
-                {
-                    return Some((si, cursor));
-                }
-                cost.leaf_visits += 1;
-                cost.point_visits += pts;
-                let covered = span.covered && span.lo <= l.code_lo && l.code_hi <= span.hi;
-                if covered {
-                    out.extend_from_slice(self.leaf_points(l));
-                } else {
-                    out.extend(
-                        self.leaf_points(l)
-                            .iter()
-                            .filter(|p| query.contains(p))
-                            .copied(),
-                    );
-                }
-                scratch.visited.push((cursor as u32, covered));
-                cursor += 1;
-            }
-        }
-        None
-    }
-
-    /// Enumerates the candidate leaves an exhausted sweep never reached
-    /// (resuming at `(span index, leaf cursor)`) and returns the
-    /// canonically smallest point any of them could contribute, plus
-    /// their count. `None` bound means no unexamined leaf overlaps the
-    /// query — the answer was complete after all.
-    fn truncation_bound(
-        &self,
-        query: &Rect,
-        scratch: &QueryScratch,
-        resume: (usize, usize),
-    ) -> (Option<Point2>, usize) {
-        let (si, mut cursor) = resume;
+    ) -> BoundedOutcome {
+        let mut visited = QueryCost::default();
+        let mut exhausted = false;
         let mut bound: Option<Point2> = None;
-        let mut truncated = 0usize;
-        for span in &scratch.spans[si..] {
-            cursor += self.leaves[cursor..].partition_point(|l| l.code_hi <= span.lo);
-            while cursor < self.leaves.len() && self.leaves[cursor].code_lo < span.hi {
-                let b = &self.blocks[cursor];
-                if b.overlaps(query) {
-                    truncated += 1;
-                    let corner = Point2::new(
-                        b.x().lo().max(query.x().lo()),
-                        b.y().lo().max(query.y().lo()),
-                    );
-                    bound = Some(match bound {
-                        Some(cur) if cur.canonical_cmp(&corner) != Ordering::Greater => cur,
-                        _ => corner,
-                    });
+        let mut truncated_leaves = 0usize;
+        self.range_descend(
+            self.root_block(),
+            query,
+            RANGE_DECOMPOSE_DEPTH,
+            &mut |run, whole| {
+                for (leaf, block) in run.iter().zip(self.run_blocks(run)) {
+                    let points = u64::from(leaf.points_len);
+                    exhausted = exhausted
+                        || visited.leaf_visits + 1 > budget.leaf_visits
+                        || visited.point_visits + points > budget.point_visits;
+                    if !exhausted {
+                        visited.leaf_visits += 1;
+                        visited.point_visits += points;
+                        let points = self.leaf_points(leaf);
+                        if whole {
+                            out.extend_from_slice(points);
+                        } else {
+                            out.extend(points.iter().filter(|p| query.contains(p)).copied());
+                        }
+                    } else if block.overlaps(query) {
+                        truncated_leaves += 1;
+                        let corner = Point2::new(
+                            block.x().lo().max(query.x().lo()),
+                            block.y().lo().max(query.y().lo()),
+                        );
+                        if bound.is_none_or(|b| corner.canonical_cmp(&b) == Ordering::Less) {
+                            bound = Some(corner);
+                        }
+                    }
                 }
-                cursor += 1;
+            },
+        );
+        match bound {
+            // Every leaf left unexamined was outside the query: the
+            // answer is complete after all.
+            None => BoundedOutcome::Complete { visited },
+            Some(bound) => {
+                out.retain(|p| p.canonical_cmp(&bound) == Ordering::Less);
+                BoundedOutcome::Partial {
+                    visited,
+                    truncated_leaves,
+                }
             }
         }
-        (bound, truncated)
     }
 
     /// Budgeted k-NN: the answer of [`LinearQuadtree::k_nearest_into`]
@@ -953,8 +865,8 @@ impl LinearQuadtree {
             }
             cost.leaf_visits += 1;
             cost.point_visits += pts;
-            scratch.visited.push((i as u32, false));
-            Self::knn_scan_leaf(
+            scratch.visited.push(i as u32);
+            knn_scan_leaf(
                 self.leaf_points(&self.leaves[i]),
                 target,
                 k,
@@ -972,7 +884,7 @@ impl LinearQuadtree {
         // Sorted in place, the visit log is a merge cursor over the
         // leaf indices (each leaf is scanned at most once).
         scratch.visited.sort_unstable();
-        let mut scanned = scratch.visited.iter().map(|&(i, _)| i as usize).peekable();
+        let mut scanned = scratch.visited.iter().map(|&i| i as usize).peekable();
         let mut bound = f64::INFINITY;
         let mut truncated = 0usize;
         for i in 0..self.leaves.len() {
@@ -994,7 +906,7 @@ impl LinearQuadtree {
         );
         BoundedOutcome::Partial {
             visited: cost,
-            truncated_spans: truncated,
+            truncated_leaves: truncated,
         }
     }
 
@@ -1195,8 +1107,33 @@ impl LinearQuadtree {
     }
 }
 
+/// Folds one leaf's points into `best`, the `k` nearest candidates so
+/// far sorted by [`knn_cmp`].
+pub(crate) fn knn_scan_leaf(
+    points: &[Point2],
+    target: &Point2,
+    k: usize,
+    best: &mut Vec<(f64, Point2)>,
+) {
+    for p in points {
+        let cand = (p.distance_squared(target), *p);
+        if best.len() == k
+            && best
+                .last()
+                .is_some_and(|worst| knn_cmp(&cand, worst) == Ordering::Greater)
+        {
+            continue;
+        }
+        let pos = best.partition_point(|e| knn_cmp(e, &cand) != Ordering::Greater);
+        best.insert(pos, cand);
+        if best.len() > k {
+            best.pop();
+        }
+    }
+}
+
 /// Smallest squared distance from `p` to any point of `block`.
-fn min_dist_squared(block: &Rect, p: &Point2) -> f64 {
+pub(crate) fn min_dist_squared(block: &Rect, p: &Point2) -> f64 {
     let dx = (block.x().lo() - p.x).max(p.x - block.x().hi()).max(0.0);
     let dy = (block.y().lo() - p.y).max(p.y - block.y().hi()).max(0.0);
     dx * dx + dy * dy
@@ -1607,11 +1544,11 @@ mod tests {
             );
             if let BoundedOutcome::Partial {
                 visited,
-                truncated_spans,
+                truncated_leaves,
             } = outcome
             {
                 assert!(visited.point_visits <= point_budget);
-                assert!(truncated_spans > 0);
+                assert!(truncated_leaves > 0);
             }
         }
     }
@@ -1697,8 +1634,8 @@ mod proptests {
                 linear.points().iter().filter(|p| query.contains(p)).copied().collect();
             prop_assert_eq!(bits(&got), bits(&expect));
             prop_assert_eq!(got.len(), points.iter().filter(|p| query.contains(p)).count());
-            // The bounded form's span sweep is an independent route to
-            // the same answer.
+            // Under an unbounded budget the bounded forms, which walk
+            // the same descent cut at depth 8, give the same answer.
             let budget = CostBudget::unbounded();
             let mut swept = Vec::new();
             let outcome = linear.range_query_bounded_into(&query, &budget, &mut scratch, &mut swept);

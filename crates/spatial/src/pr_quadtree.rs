@@ -29,6 +29,7 @@
 //! [`crate::reference::BoxedPrQuadtree`] — the equivalence-test oracle.
 
 use crate::arena::{ArenaTree, QuadDecomp, SlotView, ROOT};
+use crate::linear_quadtree::{knn_scan_leaf, min_dist_squared};
 use crate::node_stats::{DepthOccupancyTable, LeafRecord, OccupancyInstrumented, OccupancyProfile};
 use popan_geom::{Point2, Quadrant, Rect};
 
@@ -300,104 +301,32 @@ impl PrQuadtree {
     ) {
         if best.len() == k {
             let worst = best.last().expect("non-empty at capacity").0;
-            if Self::min_dist_squared(&block, target) > worst {
+            if min_dist_squared(&block, target) > worst {
                 return;
             }
         }
         match self.tree.view(slot) {
-            SlotView::Leaf(points) => {
-                use crate::linear_quadtree::knn_cmp;
-                for p in points {
-                    let cand = (p.distance_squared(target), *p);
-                    if best.len() == k
-                        && knn_cmp(&cand, &best[k - 1]) == std::cmp::Ordering::Greater
-                    {
-                        continue;
-                    }
-                    let pos =
-                        best.partition_point(|e| knn_cmp(e, &cand) != std::cmp::Ordering::Greater);
-                    best.insert(pos, cand);
-                    if best.len() > k {
-                        best.pop();
-                    }
-                }
-            }
+            SlotView::Leaf(points) => knn_scan_leaf(points, target, k, best),
             SlotView::Internal(base) => {
-                let mut order: Vec<(f64, usize)> = (0..4)
-                    .map(|i| {
-                        let b = block.quadrant(Quadrant::from_index(i));
-                        (Self::min_dist_squared(&b, target), i)
-                    })
-                    .collect();
-                order.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite distances"));
-                for (_, i) in order {
-                    self.k_nearest_rec(
-                        base + i as u32,
-                        block.quadrant(Quadrant::from_index(i)),
-                        target,
-                        k,
-                        best,
-                    );
+                // Nearest child first, ties in child order.
+                let mut children = [(0.0, 0, block); 4];
+                for ((child, rect), i) in children.iter_mut().zip(block.quadrants()).zip(0u32..) {
+                    *child = (min_dist_squared(&rect, target), i, rect);
+                }
+                children.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                for (_, i, rect) in children {
+                    self.k_nearest_rec(base + i, rect, target, k, best);
                 }
             }
         }
     }
 
-    /// The stored point nearest to `target` (ties broken arbitrarily);
-    /// `None` when the tree is empty. `target` need not be in the region.
+    /// The stored point nearest to `target`, by [`PrQuadtree::k_nearest`]
+    /// with `k` = 1: ties now resolve canonically
+    /// ([`crate::linear_quadtree::knn_cmp`]) instead of arbitrarily.
+    /// `None` when the tree is empty; `target` need not be in the region.
     pub fn nearest(&self, target: &Point2) -> Option<Point2> {
-        let mut best: Option<(f64, Point2)> = None;
-        self.nearest_rec(ROOT, self.region(), target, &mut best);
-        best.map(|(_, p)| p)
-    }
-
-    fn nearest_rec(
-        &self,
-        slot: u32,
-        block: Rect,
-        target: &Point2,
-        best: &mut Option<(f64, Point2)>,
-    ) {
-        // Prune blocks that cannot beat the current best.
-        if let Some((best_d2, _)) = best {
-            if Self::min_dist_squared(&block, target) > *best_d2 {
-                return;
-            }
-        }
-        match self.tree.view(slot) {
-            SlotView::Leaf(points) => {
-                for p in points {
-                    let d2 = p.distance_squared(target);
-                    if best.is_none_or(|(bd, _)| d2 < bd) {
-                        *best = Some((d2, *p));
-                    }
-                }
-            }
-            SlotView::Internal(base) => {
-                // Visit children nearest-first for tighter pruning.
-                let mut order: Vec<(f64, usize)> = (0..4)
-                    .map(|i| {
-                        let b = block.quadrant(Quadrant::from_index(i));
-                        (Self::min_dist_squared(&b, target), i)
-                    })
-                    .collect();
-                order.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite distances"));
-                for (_, i) in order {
-                    self.nearest_rec(
-                        base + i as u32,
-                        block.quadrant(Quadrant::from_index(i)),
-                        target,
-                        best,
-                    );
-                }
-            }
-        }
-    }
-
-    fn min_dist_squared(block: &Rect, p: &Point2) -> f64 {
-        let dx = (block.x().lo() - p.x).max(p.x - block.x().hi()).max(0.0);
-        let dy = (block.y().lo() - p.y).max(p.y - block.y().hi()).max(0.0);
-        dx * dx + dy * dy
+        self.k_nearest(target, 1).pop()
     }
 
     /// Total node count (internal + leaf) — O(1) pool accounting.

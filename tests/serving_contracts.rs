@@ -12,6 +12,9 @@
 //!   included;
 //! * the batch forms answer every query exactly as the serial forms do,
 //!   at its original index;
+//! * the bounded range and count forms charge, answer, truncate and
+//!   count exactly as pinned, and every partial answer is a prefix of
+//!   the full one;
 //! * a corrupt candidate is quarantined while readers keep serving the
 //!   last good epoch.
 
@@ -20,9 +23,10 @@ use popan::query::{
     knn_by_scan, range_by_scan, BatchAnswers, BatchScratch, PublishError, Queryable, Snapshot,
     SnapshotPublisher,
 };
-use popan::spatial::{PrQuadtree, QueryScratch, SnapshotSection};
+use popan::spatial::{BoundedOutcome, CostBudget, PrQuadtree, QueryScratch, SnapshotSection};
 use popan::workload::points::{Clustered, PointSource, UniformRect};
 use popan::workload::TrialRunner;
+use popan_rng::hash::Fnv64;
 
 const N: usize = 2000;
 const CAPACITY: usize = 4;
@@ -210,6 +214,86 @@ fn batch_answers_match_serial_answers_at_every_index() {
                 );
             }
         }
+    }
+}
+
+/// Folds one bounded outcome into `h`: its charges, whether it is
+/// complete, and how many leaves it truncated against.
+fn fold_outcome(h: &mut Fnv64, outcome: &BoundedOutcome) {
+    let visited = outcome.visited();
+    h.write_u64(visited.leaf_visits);
+    h.write_u64(visited.point_visits);
+    match *outcome {
+        BoundedOutcome::Complete { .. } => h.write_u8(0),
+        BoundedOutcome::Partial {
+            truncated_leaves, ..
+        } => {
+            h.write_u8(1);
+            h.write_u64(truncated_leaves as u64);
+        }
+    }
+}
+
+/// The bounded range and count forms over every window of the query
+/// set, under budgets from unbounded down to a single leaf. Their
+/// charges feed perfbench's pinned `query.*` counters, and their
+/// partial answers are what a degraded reader serves, so each
+/// snapshot's outcomes, answers and counts are folded into one digest
+/// pinned here.
+#[test]
+fn bounded_outcomes_match_their_pins() {
+    const PINS: [(&str, u64); 2] = [
+        ("uniform/from_points", 0x0794_acfd_4192_5464),
+        ("clustered/freeze", 0x1d8c_6f1d_4c10_7af9),
+    ];
+    let budgets = [
+        CostBudget::unbounded(),
+        CostBudget::new(1, u64::MAX),
+        CostBudget::new(4, u64::MAX),
+        CostBudget::new(16, u64::MAX),
+        CostBudget::new(u64::MAX, 16),
+        CostBudget::new(u64::MAX, 128),
+        CostBudget::new(3, 40),
+    ];
+    let windows: Vec<Rect> = queries()
+        .iter()
+        .filter_map(|q| match *q {
+            Query::Range(r) | Query::Count(r) => Some(r),
+            Query::Knn(..) => None,
+        })
+        .collect();
+    let mut scratch = QueryScratch::new();
+    let mut full = Vec::new();
+    let mut partial = Vec::new();
+    for ((name, _, snap), (pin_name, pin)) in snapshots().into_iter().zip(PINS) {
+        assert_eq!(name, pin_name);
+        let mut h = Fnv64::new();
+        for (i, rect) in windows.iter().enumerate() {
+            snap.range_into(rect, &mut scratch, &mut full);
+            for budget in &budgets {
+                let outcome = snap.range_bounded_into(rect, budget, &mut scratch, &mut partial);
+                let (count, count_outcome) = snap.count_bounded_with(rect, budget, &mut scratch);
+                let at = format!("{name} window {i} {rect} budget {budget:?}");
+                assert!(
+                    partial.len() <= full.len() && bits(&partial) == bits(&full[..partial.len()]),
+                    "{at}: the bounded answer is not a prefix of the full one"
+                );
+                if outcome.is_complete() {
+                    assert_eq!(partial.len(), full.len(), "{at}");
+                }
+                assert_eq!(count, partial.len(), "{at}");
+                assert_eq!(count_outcome, outcome, "{at}");
+                fold_outcome(&mut h, &outcome);
+                h.write_u64(partial.len() as u64);
+                for p in &partial {
+                    h.write_f64(p.x);
+                    h.write_f64(p.y);
+                }
+                fold_outcome(&mut h, &count_outcome);
+                h.write_u64(count as u64);
+            }
+        }
+        assert_eq!(h.finish(), pin, "{name}: digest {:#018x}", h.finish());
     }
 }
 
