@@ -161,7 +161,9 @@ impl PmrModel {
 
     /// One split row: a block holding `i` lines receives one more
     /// (`i + 1` total) and splits once; average the number of children at
-    /// each occupancy over `samples` draws.
+    /// each occupancy over `samples` draws. Each drawn line is classified
+    /// against the four quadrants by one
+    /// [`Segment2::crosses_quadrants`].
     fn estimate_split_row(
         i: usize,
         n: usize,
@@ -170,16 +172,13 @@ impl PmrModel {
         rng: &mut StdRng,
     ) -> DVector {
         let unit = Rect::unit();
-        let quadrants = unit.quadrants();
         let mut acc = vec![0.0; n];
         for _ in 0..samples {
             let mut counts = [0usize; 4];
             for _ in 0..=i {
-                let seg = local.sample(rng);
-                for (q, quad) in quadrants.iter().enumerate() {
-                    if seg.crosses_rect(quad) {
-                        counts[q] += 1;
-                    }
+                let crossed = local.sample(rng).crosses_quadrants(&unit);
+                for (count, crosses) in counts.iter_mut().zip(crossed) {
+                    *count += usize::from(crosses);
                 }
             }
             for &c in &counts {

@@ -215,7 +215,7 @@ impl ExtendibleHashTable {
                 }
                 self.double_directory();
             }
-            self.split_bucket(self.directory[self.dir_index(h)]);
+            self.split_bucket(self.dir_index(h));
         }
     }
 
@@ -330,24 +330,32 @@ impl ExtendibleHashTable {
         }
     }
 
+    /// Doubles the directory: slot `i + 2^g` copies slot `i`, so every
+    /// bucket keeps its residue class (one more bit of it is free).
     fn double_directory(&mut self) {
-        let old = self.directory.clone();
-        self.directory.extend_from_slice(&old);
+        self.directory.extend_from_within(..);
         self.global_depth += 1;
     }
 
-    /// Splits bucket `bi` (which must be full and have `local < global`):
-    /// allocates a sibling with local depth +1 and redistributes keys on
-    /// bit `local_depth`.
-    fn split_bucket(&mut self, bi: usize) {
+    /// Splits the bucket serving directory slot `slot` (it must be full
+    /// and have `local < global`): allocates a sibling with local depth
+    /// +1 and redistributes keys on bit `local_depth`.
+    ///
+    /// A bucket of local depth `d` owns exactly the slots `≡ r (mod 2^d)`,
+    /// where `r` is the low `d` bits of any of them. The slots that move to
+    /// the sibling are those with bit `d` also set: the `2^(g−d−1)` slots
+    /// `r | 2^d`, stepping by `2^(d+1)`. Only those are visited.
+    fn split_bucket(&mut self, slot: usize) {
+        let bi = self.directory[slot];
         let old_local = self.buckets[bi].local_depth;
         debug_assert!(old_local < self.global_depth, "split without headroom");
         let new_local = old_local + 1;
-        let split_bit = 1u64 << old_local;
+        let split_bit = 1usize << old_local;
 
         let keys = std::mem::take(&mut self.buckets[bi].keys);
         let n = keys.len();
-        let (stay, go): (Vec<u64>, Vec<u64>) = keys.into_iter().partition(|&k| k & split_bit == 0);
+        let (stay, go): (Vec<u64>, Vec<u64>) =
+            keys.into_iter().partition(|&k| k & split_bit as u64 == 0);
         // One bucket of `n` keys becomes two with `stay`/`go`.
         let (cn, cs, cg) = (
             self.occ_class(n),
@@ -365,12 +373,17 @@ impl ExtendibleHashTable {
             keys: go,
         });
 
-        // Redirect the directory: among slots currently pointing at `bi`,
-        // those whose `old_local` bit is set move to the sibling.
-        for (slot, target) in self.directory.iter_mut().enumerate() {
-            if *target == bi && (slot as u64) & split_bit != 0 {
-                *target = new_bi;
-            }
+        // Redirect the directory: the slots of the residue class with the
+        // split bit set move to the sibling.
+        let first = (slot & (split_bit - 1)) | split_bit;
+        for target in self
+            .directory
+            .iter_mut()
+            .skip(first)
+            .step_by(split_bit << 1)
+        {
+            debug_assert_eq!(*target, bi, "slot outside the split bucket's residue class");
+            *target = new_bi;
         }
     }
 
@@ -394,40 +407,53 @@ impl ExtendibleHashTable {
     }
 
     /// Verifies structural invariants; panics on violation.
+    ///
+    /// The directory invariant [`Self::split_bucket`] relies on: a bucket
+    /// of local depth `l` is referenced by exactly the `2^(g−l)` slots of
+    /// one residue class mod `2^l`, and holds only keys of that class.
+    /// One pass over the directory and one over the buckets.
     pub fn check_invariants(&self) {
         assert_eq!(self.directory.len(), 1usize << self.global_depth);
-        let mut total = 0;
-        let mut referenced = vec![false; self.buckets.len()];
+        // Per bucket: how many slots reference it, and its residue.
+        let mut refs = vec![0usize; self.buckets.len()];
+        let mut residue = vec![0usize; self.buckets.len()];
         for (slot, &bi) in self.directory.iter().enumerate() {
             assert!(bi < self.buckets.len(), "dangling directory entry");
-            referenced[bi] = true;
             let b = &self.buckets[bi];
             assert!(b.local_depth <= self.global_depth);
-            // The slot must agree with the bucket's hash-suffix class.
+            let class = slot & ((1usize << b.local_depth) - 1);
+            if refs[bi] == 0 {
+                residue[bi] = class;
+            }
+            assert_eq!(
+                class, residue[bi],
+                "bucket's slots span two residue classes"
+            );
+            refs[bi] += 1;
+        }
+        let mut total = 0;
+        for (bi, b) in self.buckets.iter().enumerate() {
+            assert!(refs[bi] > 0, "orphaned bucket");
+            // Each bucket is referenced by exactly 2^(g - l) slots.
+            assert_eq!(
+                refs[bi],
+                1usize << (self.global_depth - b.local_depth),
+                "directory reference count wrong"
+            );
+            // Its keys agree with its hash-suffix class.
             let mask = (1u64 << b.local_depth) - 1;
             for &k in &b.keys {
                 assert_eq!(
                     k & mask,
-                    (slot as u64) & mask,
+                    residue[bi] as u64,
                     "key in wrong bucket for its suffix"
                 );
             }
-        }
-        assert!(referenced.iter().all(|&r| r), "orphaned bucket");
-        for b in &self.buckets {
             total += b.keys.len();
             assert!(
                 b.keys.len() <= self.bucket_capacity || self.global_depth >= MAX_GLOBAL_DEPTH,
                 "over-full bucket below the depth cap"
             );
-            // Each bucket is referenced by exactly 2^(g - l) slots.
-            let expected_refs = 1usize << (self.global_depth - b.local_depth);
-            let actual = self
-                .directory
-                .iter()
-                .filter(|&&bi| std::ptr::eq(&self.buckets[bi], b))
-                .count();
-            assert_eq!(actual, expected_refs, "directory reference count wrong");
         }
         assert_eq!(total, self.len, "stored key count mismatch");
         // The incremental census must equal a fresh scan.
@@ -509,6 +535,31 @@ mod tests {
         assert_eq!(t.global_depth(), 2);
         assert!(t.contains(0b00));
         assert!(t.contains(0b10));
+        t.check_invariants();
+    }
+
+    #[test]
+    fn split_below_global_depth_rewires_every_slot_of_the_moving_half() {
+        let mut t = ExtendibleHashTable::with_hashing(1, false).unwrap();
+        // 0b000 and 0b100 share two low bits: the directory reaches
+        // depth 3 while the odd bucket keeps local depth 1 (slots 1, 3,
+        // 5, 7).
+        t.insert(0b000);
+        t.insert(0b100);
+        assert_eq!(t.global_depth(), 3);
+        t.insert(0b001);
+        let odd = t.directory[1];
+        assert!([3, 5, 7].iter().all(|&s| t.directory[s] == odd));
+        // 0b011 splits that bucket on bit 1: slots 3 and 7 move, 1 and 5
+        // stay.
+        t.insert(0b011);
+        let moved = t.directory[3];
+        assert_ne!(moved, odd);
+        assert_eq!(t.directory[7], moved);
+        assert_eq!((t.directory[1], t.directory[5]), (odd, odd));
+        assert_eq!(t.buckets[moved].keys, vec![0b011]);
+        assert_eq!(t.buckets[odd].keys, vec![0b001]);
+        assert_eq!(t.global_depth(), 3);
         t.check_invariants();
     }
 
@@ -688,6 +739,33 @@ mod proptests {
                 prop_assert!(t.contains(*k));
             }
             t.check_invariants();
+        }
+    }
+
+    proptest! {
+        // Each case checks the whole directory after every insert; at
+        // b = 1 hashed keys grow it to ~2^17 slots by the 300th key.
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn invariants_hold_after_every_insert(
+            keys in popan_proptest::collection::vec(any::<u64>(), 0..300),
+            capacity in 1usize..5,
+            hashed in any::<bool>(),
+        ) {
+            let mut t = ExtendibleHashTable::with_hashing(capacity, hashed).unwrap();
+            let mut model = std::collections::BTreeSet::new();
+            for key in keys {
+                // Unhashed keys stay below 2^12, so distinct keys differ
+                // within the low 12 bits and the directory stays small.
+                let key = if hashed { key } else { key % 4096 };
+                prop_assert_eq!(t.insert(key), model.insert(key));
+                t.check_invariants();
+            }
+            prop_assert_eq!(t.len(), model.len());
+            for &k in &model {
+                prop_assert!(t.contains(k));
+            }
         }
     }
 }

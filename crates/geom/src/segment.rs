@@ -7,9 +7,14 @@
 //! non-degenerate, i.e. the segment actually passes through the block's
 //! interior for a positive length, or it lies on the boundary.
 
+use crate::interval::Interval;
 use crate::point::Point2;
 use crate::rect::Rect;
 use std::fmt;
+
+/// A clipped parameter range `(t0, t1)` along a segment, or `None` when
+/// the segment runs parallel to a boundary outside it.
+type Clip = Option<(f64, f64)>;
 
 /// A directed line segment between two endpoints.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,15 +112,69 @@ impl Segment2 {
         }
     }
 
-    /// The quadrants of `rect` the segment passes through (positive-length
-    /// crossings only), as indices into [`crate::rect::Quadrant::ALL`].
-    pub fn quadrants_crossed(&self, rect: &Rect) -> Vec<usize> {
-        rect.quadrants()
-            .iter()
-            .enumerate()
-            .filter(|(_, q)| self.crosses_rect(q))
-            .map(|(i, _)| i)
-            .collect()
+    /// Which quadrants of `block` the segment passes through for a
+    /// positive length, in [`crate::rect::Quadrant::ALL`] order. Entry
+    /// `i` equals `self.crosses_rect(&block.quadrants()[i])`, bit for bit.
+    ///
+    /// A quadrant's clip is an x-half clip and a y-half clip combined, so
+    /// this runs one clip per axis half and the two quadrants on a half
+    /// share it; the two halves of an axis share their midline ratio.
+    /// That is 6 divisions and 1 `sqrt` where four
+    /// [`Self::crosses_rect`] calls make 16 and 4. Each ratio and
+    /// comparison is one `clip_to_rect` makes; its early returns only
+    /// anticipate the final `t0 ≤ t1` test on the max of the entering
+    /// ratios and the min of the leaving ones, which is what the halves'
+    /// max/min combination computes.
+    pub fn crosses_quadrants(&self, block: &Rect) -> [bool; 4] {
+        let (x_lo, x_hi) = Self::clip_halves(self.a.x, self.b.x - self.a.x, block.x());
+        let (y_lo, y_hi) = Self::clip_halves(self.a.y, self.b.y - self.a.y, block.y());
+        let length = self.length();
+        let crosses = |x: Clip, y: Clip| match (x, y) {
+            (Some((x0, x1)), Some((y0, y1))) => {
+                let t0 = if y0 > x0 { y0 } else { x0 };
+                let t1 = if y1 < x1 { y1 } else { x1 };
+                t0 <= t1 && (t1 - t0) * length > 1e-12
+            }
+            _ => false,
+        };
+        [
+            crosses(x_lo, y_lo),
+            crosses(x_hi, y_lo),
+            crosses(x_lo, y_hi),
+            crosses(x_hi, y_hi),
+        ]
+    }
+
+    /// Liang–Barsky on one axis, for both halves of `axis` at once: the
+    /// parameter range in `[0, 1]` where `a + t·d` lies in the closed
+    /// lower half and in the closed upper half, or `None` where the
+    /// segment runs parallel to the axis boundaries outside that half. A
+    /// range may come out empty (`t0 > t1`); the caller's `t0 ≤ t1`
+    /// test rejects it.
+    fn clip_halves(a: f64, d: f64, axis: Interval) -> (Clip, Clip) {
+        let (lo, mid, hi) = (axis.lo(), axis.mid(), axis.hi());
+        if d == 0.0 {
+            let within = |l: f64, h: f64| (!(a - l < 0.0 || h - a < 0.0)).then_some((0.0, 1.0));
+            return (within(lo, mid), within(mid, hi));
+        }
+        // The `x ≥ lo`, `x ≤ mid` and `x ≤ hi` ratios; the upper half's
+        // `x ≥ mid` ratio `(a − mid)/(−d)` is the same number (up to the
+        // sign of a zero, which no comparison sees).
+        let (r_lo, r_mid, r_hi) = ((a - lo) / -d, (mid - a) / d, (hi - a) / d);
+        // Entering ratios raise t0 from 0, leaving ones lower t1 from 1.
+        let enter = |r: f64| if r > 0.0 { r } else { 0.0 };
+        let leave = |r: f64| if r < 1.0 { r } else { 1.0 };
+        if d > 0.0 {
+            (
+                Some((enter(r_lo), leave(r_mid))),
+                Some((enter(r_mid), leave(r_hi))),
+            )
+        } else {
+            (
+                Some((enter(r_mid), leave(r_lo))),
+                Some((enter(r_hi), leave(r_mid))),
+            )
+        }
     }
 }
 
@@ -127,6 +186,7 @@ impl fmt::Display for Segment2 {
 
 #[cfg(test)]
 mod tests {
+    use super::adversarial::{adversarial_segment, dyadic_block};
     use super::*;
 
     fn seg(ax: f64, ay: f64, bx: f64, by: f64) -> Segment2 {
@@ -194,22 +254,21 @@ mod tests {
         // Main diagonal passes through SW and NE (touches center point
         // shared with the others only at a point).
         let s = seg(0.01, 0.01, 0.99, 0.99);
-        let q = s.quadrants_crossed(&r);
-        assert_eq!(q, vec![0, 3]); // SW, NE
+        assert_eq!(s.crosses_quadrants(&r), [true, false, false, true]); // SW, NE
     }
 
     #[test]
     fn horizontal_segment_crosses_two_lower_quadrants() {
         let r = Rect::unit();
         let s = seg(0.1, 0.25, 0.9, 0.25);
-        assert_eq!(s.quadrants_crossed(&r), vec![0, 1]); // SW, SE
+        assert_eq!(s.crosses_quadrants(&r), [true, true, false, false]); // SW, SE
     }
 
     #[test]
     fn segment_confined_to_one_quadrant() {
         let r = Rect::unit();
         let s = seg(0.1, 0.6, 0.4, 0.9);
-        assert_eq!(s.quadrants_crossed(&r), vec![2]); // NW
+        assert_eq!(s.crosses_quadrants(&r), [false, false, true, false]); // NW
     }
 
     #[test]
@@ -217,13 +276,99 @@ mod tests {
         let r = Rect::unit();
         // From SW up through NW into NE.
         let s = seg(0.1, 0.1, 0.9, 0.9001);
-        let q = s.quadrants_crossed(&r);
-        assert!(q.contains(&0) && q.contains(&3));
+        assert_eq!(s.crosses_quadrants(&r), [true, false, true, true]);
+    }
+
+    #[test]
+    fn segment_on_a_midline_lies_in_the_quadrants_on_both_sides() {
+        // Closed quadrants share the midlines, so a segment along one
+        // lies in both quadrants on either side of it.
+        let r = Rect::unit();
+        assert_eq!(seg(0.5, 0.0, 0.5, 1.0).crosses_quadrants(&r), [true; 4]);
+        assert_eq!(
+            seg(0.0, 0.5, 0.4, 0.5).crosses_quadrants(&r),
+            [true, false, true, false]
+        );
+        assert_eq!(seg(1.5, 0.0, 1.5, 1.0).crosses_quadrants(&r), [false; 4]);
+    }
+
+    #[test]
+    fn adversarial_segments_reach_every_hit_count() {
+        let mut hits = [0usize; 5];
+        let mut bits = 0u64;
+        for _ in 0..4000 {
+            bits = bits.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mixed = (bits ^ (bits >> 31)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let block = dyadic_block(mixed);
+            if let Some(s) = adversarial_segment(&block, mixed.rotate_left(17)) {
+                let got = s.crosses_quadrants(&block);
+                assert_eq!(got, block.quadrants().map(|q| s.crosses_rect(&q)));
+                hits[got.iter().filter(|&&c| c).count()] += 1;
+            }
+        }
+        assert!(hits.iter().all(|&n| n > 0), "hit counts 0..=4: {hits:?}");
+    }
+}
+
+/// Dyadic blocks and adversarial segments for the quadrant classifier's
+/// differential tests.
+#[cfg(test)]
+mod adversarial {
+    use super::*;
+
+    /// The dyadic block picked by `bits`: depth 0–13 in the unit square.
+    pub fn dyadic_block(bits: u64) -> Rect {
+        let depth = (bits % 14) as i32;
+        let cells = 1u64 << depth;
+        let side = 0.5f64.powi(depth);
+        let (ix, iy) = ((bits >> 8) % cells, (bits >> 24) % cells);
+        let (x, y) = (ix as f64 * side, iy as f64 * side);
+        Rect::from_bounds(x, y, x + side, y + side)
+    }
+
+    /// A coordinate adversarial for `axis`, picked by `bits`: an edge,
+    /// the midline, one of those nudged by ±1e-13, a point of the 1/8
+    /// grid, or a point outside.
+    fn coordinate(axis: Interval, bits: u64) -> f64 {
+        let (lo, mid, hi) = (axis.lo(), axis.mid(), axis.hi());
+        let nudge = if bits & 8 == 0 { 1e-13 } else { -1e-13 };
+        let eighth = ((bits >> 4) % 9) as f64 * axis.length() / 8.0;
+        match bits & 7 {
+            0 => lo,
+            1 => hi,
+            2 => mid,
+            3 => mid + nudge,
+            4 => lo + nudge,
+            5 => hi + nudge,
+            6 => lo + eighth,
+            _ if bits & 8 == 0 => lo - eighth - axis.length() / 16.0,
+            _ => hi + eighth + axis.length() / 16.0,
+        }
+    }
+
+    /// The segment picked by `bits` for `block`: general, axis-parallel,
+    /// or hugging a midline within ±1e-13. `None` when both endpoints
+    /// coincide.
+    pub fn adversarial_segment(block: &Rect, bits: u64) -> Option<Segment2> {
+        let (x, y) = (block.x(), block.y());
+        let field = |i: u32| bits >> (8 * i + 2);
+        let mut a = Point2::new(coordinate(x, field(0)), coordinate(y, field(1)));
+        let mut b = Point2::new(coordinate(x, field(2)), coordinate(y, field(3)));
+        let hug = |i: u32| [-1e-13, 0.0, 1e-13][(field(i) % 3) as usize];
+        match bits & 3 {
+            0 => {}
+            1 => b.x = a.x,
+            2 => b.y = a.y,
+            _ if bits & 4 == 0 => (a.y, b.y) = (y.mid() + hug(4), y.mid() + hug(5)),
+            _ => (a.x, b.x) = (x.mid() + hug(4), x.mid() + hug(5)),
+        }
+        (a != b).then(|| Segment2::new(a, b))
     }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::adversarial::{adversarial_segment, dyadic_block};
     use super::*;
     use popan_proptest::prelude::*;
 
@@ -256,9 +401,32 @@ mod proptests {
             prop_assume!((ax, ay) != (bx, by));
             let s = Segment2::new(Point2::new(ax, ay), Point2::new(bx, by));
             prop_assume!(s.length() > 1e-6);
-            let q = s.quadrants_crossed(&Rect::unit());
-            prop_assert!(!q.is_empty());
-            prop_assert!(q.len() <= 3, "a straight segment crosses at most 3 quadrants");
+            let hits = s.crosses_quadrants(&Rect::unit()).iter().filter(|&&c| c).count();
+            prop_assert!(hits >= 1);
+            prop_assert!(hits <= 3, "a straight segment crosses at most 3 quadrants");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn crosses_quadrants_matches_four_rect_clips(
+            block_bits in any::<u64>(),
+            segment_bits in popan_proptest::collection::vec(any::<u64>(), 128),
+        ) {
+            let block = dyadic_block(block_bits);
+            for bits in segment_bits {
+                if let Some(s) = adversarial_segment(&block, bits) {
+                    prop_assert_eq!(
+                        s.crosses_quadrants(&block),
+                        block.quadrants().map(|q| s.crosses_rect(&q)),
+                        "segment {:?} in block {}",
+                        s,
+                        block
+                    );
+                }
+            }
         }
     }
 }

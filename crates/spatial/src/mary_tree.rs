@@ -18,6 +18,9 @@
 //! ids, children allocated as one contiguous block per split, and an
 //! [`OccupancyCensus`] maintained incrementally so `depth_table()` /
 //! `occupancy_profile()` / `leaf_count()` are zero-allocation reads.
+//! The keys live in one flat slab beside the nodes, `b − 1` slots per
+//! node, so a node is a small `Copy` header and a split grows two
+//! vectors by one block, with no allocation per node.
 //! Unlike the spatial trees, items also live at internal nodes (the
 //! pivots); the tree tracks their count and path length so
 //! [`MarySearchTree::total_path_length`] reports the full
@@ -28,26 +31,18 @@ use crate::node_stats::{
 };
 use crate::pr_quadtree::TreeError;
 
-/// One node: a leaf buffering up to `b − 1` keys, or an internal node
-/// whose `b − 1` keys act as pivots over a contiguous block of `b`
-/// children.
-#[derive(Debug, Clone)]
+/// One node's header: a leaf buffering up to `b − 1` keys, or an
+/// internal node whose `b − 1` keys act as pivots over a contiguous
+/// block of `b` children. The keys themselves sit in the tree's slab.
+#[derive(Debug, Clone, Copy)]
 struct Node {
     depth: u32,
-    /// Sorted keys: the leaf buffer, or the pivots once internal.
-    keys: Vec<u64>,
-    /// Base id of the contiguous `b`-child block (`None` for a leaf).
-    children: Option<u32>,
-}
-
-impl Node {
-    fn leaf(depth: u32) -> Self {
-        Node {
-            depth,
-            keys: Vec::new(),
-            children: None,
-        }
-    }
+    /// Keys held in the node's slab slots: the leaf buffer's fill, or
+    /// `b − 1` once the node is internal.
+    len: u32,
+    /// Base id of the contiguous `b`-child block, or 0 for a leaf (the
+    /// root, id 0, is never a child).
+    children: u32,
 }
 
 /// A random m-ary search tree over `u64` keys with branch factor `b ≥ 2`.
@@ -59,6 +54,9 @@ impl Node {
 pub struct MarySearchTree {
     branch: usize,
     nodes: Vec<Node>,
+    /// The key slab: node `id` owns slots `id·(b−1) .. (id+1)·(b−1)`,
+    /// and its first `len` slots hold its keys in sorted order.
+    keys: Vec<u64>,
     census: OccupancyCensus,
     len: usize,
     /// Keys frozen as pivots at internal nodes.
@@ -76,16 +74,17 @@ impl MarySearchTree {
                 "branch factor must be at least 2".into(),
             ));
         }
-        let mut census = OccupancyCensus::new();
-        census.leaf_added(0, 0);
-        Ok(MarySearchTree {
+        let mut tree = MarySearchTree {
             branch,
-            nodes: vec![Node::leaf(0)],
-            census,
+            nodes: Vec::new(),
+            keys: Vec::new(),
+            census: OccupancyCensus::new(),
             len: 0,
             pivot_count: 0,
             pivot_path: 0,
-        })
+        };
+        tree.add_leaves(1, 0);
+        Ok(tree)
     }
 
     /// Builds a tree by inserting `keys` in order.
@@ -137,34 +136,55 @@ impl MarySearchTree {
         pivots.partition_point(|&p| p <= key)
     }
 
+    /// Appends `count` empty leaves at `depth`, each with its `b − 1`
+    /// slab slots, and returns the first one's id.
+    fn add_leaves(&mut self, count: usize, depth: u32) -> usize {
+        let base = self.nodes.len();
+        let leaf = Node {
+            depth,
+            len: 0,
+            children: 0,
+        };
+        self.nodes.resize(base + count, leaf);
+        self.keys.resize(self.nodes.len() * (self.branch - 1), 0);
+        for _ in 0..count {
+            self.census.leaf_added(depth, 0);
+        }
+        base
+    }
+
     /// Inserts a key. One descent plus at most one split: when the
     /// `b`-th key reaches a full leaf, the buffered `b − 1` keys become
-    /// pivots over `b` fresh empty children and the arriving key routes
-    /// one level down.
+    /// pivots over `b` fresh empty children (one slab block) and the
+    /// arriving key routes one level down.
     pub fn insert(&mut self, key: u64) {
+        let cap = self.branch - 1;
         let mut id = 0usize;
-        while let Some(base) = self.nodes[id].children {
-            id = base as usize + Self::route(&self.nodes[id].keys, key);
-        }
-        let depth = self.nodes[id].depth;
-        let occ = self.nodes[id].keys.len();
-        if occ < self.branch - 1 {
-            let at = self.nodes[id].keys.partition_point(|&k| k <= key);
-            self.nodes[id].keys.insert(at, key);
+        let Node { depth, len, .. } = loop {
+            let node = self.nodes[id];
+            if node.children == 0 {
+                break node;
+            }
+            id = node.children as usize + Self::route(&self.keys[id * cap..][..cap], key);
+        };
+        let occ = len as usize;
+        let slots = &mut self.keys[id * cap..][..cap];
+        if occ < cap {
+            let at = slots.split_at(occ).0.partition_point(|&k| k <= key);
+            slots.copy_within(at..occ, at + 1);
+            slots[at] = key;
+            self.nodes[id].len += 1;
             self.census.occupancy_changed(depth, occ, occ + 1);
         } else {
             // Split: the buffer freezes into pivots, b children appear.
+            let child = Self::route(slots, key);
             self.census.leaf_removed(depth, occ);
             self.pivot_count += occ;
             self.pivot_path += u64::from(depth) * occ as u64;
-            let base = self.nodes.len() as u32;
-            for _ in 0..self.branch {
-                self.nodes.push(Node::leaf(depth + 1));
-                self.census.leaf_added(depth + 1, 0);
-            }
-            self.nodes[id].children = Some(base);
-            let child = base as usize + Self::route(&self.nodes[id].keys, key);
-            self.nodes[child].keys.push(key);
+            let base = self.add_leaves(self.branch, depth + 1);
+            self.nodes[id].children = base as u32;
+            self.nodes[base + child].len = 1;
+            self.keys[(base + child) * cap] = key;
             self.census.occupancy_changed(depth + 1, 0, 1);
         }
         self.len += 1;
@@ -172,17 +192,25 @@ impl MarySearchTree {
 
     /// `true` when an exactly equal key is stored (as pivot or buffered).
     pub fn contains(&self, key: u64) -> bool {
+        let cap = self.branch - 1;
         let mut id = 0usize;
         loop {
-            let node = &self.nodes[id];
-            if node.keys.binary_search(&key).is_ok() {
+            let (node, slots) = (self.nodes[id], &self.keys[id * cap..][..cap]);
+            let held = slots.split_at(node.len as usize).0;
+            if held.binary_search(&key).is_ok() {
                 return true;
             }
-            match node.children {
-                Some(base) => id = base as usize + Self::route(&node.keys, key),
-                None => return false,
+            if node.children == 0 {
+                return false;
             }
+            id = node.children as usize + Self::route(held, key);
         }
+    }
+
+    /// Node `id`'s keys, in sorted order.
+    fn held(&self, id: usize) -> &[u64] {
+        let cap = self.branch - 1;
+        &self.keys[id * cap..][..self.nodes[id].len as usize]
     }
 
     /// All stored keys in sorted (in-order) order.
@@ -192,16 +220,15 @@ impl MarySearchTree {
         // internal node alternate child 0, pivot 0, child 1, …, child b−1.
         let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
         while let Some((id, slot)) = stack.pop() {
-            let node = &self.nodes[id];
-            match node.children {
-                None => out.extend_from_slice(&node.keys),
-                Some(base) => {
+            match self.nodes[id].children {
+                0 => out.extend_from_slice(self.held(id)),
+                base => {
                     if slot >= 2 * self.branch - 1 {
                         continue;
                     }
                     stack.push((id, slot + 1));
                     if slot % 2 == 1 {
-                        out.push(node.keys[slot / 2]);
+                        out.push(self.held(id)[slot / 2]);
                     } else {
                         stack.push((base as usize + slot / 2, 0));
                     }
@@ -211,15 +238,15 @@ impl MarySearchTree {
         out
     }
 
-    /// One record per leaf node (traversal; the census serves the same
-    /// data incrementally).
+    /// One record per leaf node, in id order (traversal; the census
+    /// serves the same data incrementally).
     pub fn leaf_records(&self) -> Vec<LeafRecord> {
         self.nodes
             .iter()
-            .filter(|n| n.children.is_none())
+            .filter(|n| n.children == 0)
             .map(|n| LeafRecord {
                 depth: n.depth,
-                occupancy: n.keys.len(),
+                occupancy: n.len as usize,
             })
             .collect()
     }
@@ -269,44 +296,66 @@ impl MarySearchTree {
 
     /// Verifies structural invariants; panics on violation.
     ///
-    /// Checks: node shape (internal nodes carry exactly `b − 1` sorted
-    /// pivots, leaves at most that many sorted keys, children one level
-    /// down), the incremental census against a full-traversal rebuild,
-    /// the pivot accounting against a recount, and global in-order
-    /// sortedness.
+    /// Checks: the slab holds `b − 1` slots per node, node shape
+    /// (internal nodes carry exactly `b − 1` sorted pivots, leaves at
+    /// most that many sorted keys, children one level down), the child
+    /// blocks tile every id but the root's, the incremental census
+    /// against a full-traversal rebuild, the pivot accounting against a
+    /// recount, and global in-order sortedness.
     pub fn check_invariants(&self) {
+        assert_eq!(
+            self.keys.len(),
+            self.nodes.len() * (self.branch - 1),
+            "slab must hold b-1 slots per node"
+        );
         let mut pivots = 0usize;
         let mut pivot_path = 0u64;
         let mut leaf_keys = 0usize;
+        let mut blocks = Vec::new();
         for (id, node) in self.nodes.iter().enumerate() {
+            let held = self.held(id);
             assert!(
-                node.keys.windows(2).all(|w| w[0] <= w[1]),
+                held.windows(2).all(|w| w[0] <= w[1]),
                 "node {id}: keys not sorted"
             );
             match node.children {
-                Some(base) => {
+                0 => {
+                    assert!(
+                        held.len() < self.branch,
+                        "leaf {id} over capacity: {} keys",
+                        held.len()
+                    );
+                    leaf_keys += held.len();
+                }
+                base => {
                     assert_eq!(
-                        node.keys.len(),
+                        held.len(),
                         self.branch - 1,
                         "internal node {id} must hold exactly b-1 pivots"
                     );
-                    pivots += node.keys.len();
-                    pivot_path += u64::from(node.depth) * node.keys.len() as u64;
+                    pivots += held.len();
+                    pivot_path += u64::from(node.depth) * held.len() as u64;
                     for c in 0..self.branch {
                         let child = &self.nodes[base as usize + c];
                         assert_eq!(child.depth, node.depth + 1, "child depth under node {id}");
                     }
-                }
-                None => {
-                    assert!(
-                        node.keys.len() < self.branch,
-                        "leaf {id} over capacity: {} keys",
-                        node.keys.len()
-                    );
-                    leaf_keys += node.keys.len();
+                    blocks.push(base as usize);
                 }
             }
         }
+        blocks.sort_unstable();
+        assert!(
+            blocks
+                .iter()
+                .enumerate()
+                .all(|(i, &base)| base == 1 + i * self.branch),
+            "child blocks must tile ids 1.. in b-sized blocks"
+        );
+        assert_eq!(
+            1 + blocks.len() * self.branch,
+            self.nodes.len(),
+            "a node outside every child block"
+        );
         assert_eq!(pivots, self.pivot_count, "pivot count drifted");
         assert_eq!(pivot_path, self.pivot_path, "pivot path length drifted");
         assert_eq!(pivots + leaf_keys, self.len, "key count drifted");

@@ -16,7 +16,7 @@
 
 use crate::node_stats::{LeafRecord, OccupancyInstrumented};
 use crate::pr_quadtree::TreeError;
-use popan_geom::{Quadrant, Rect, Segment2};
+use popan_geom::{Rect, Segment2};
 
 /// Default depth limit.
 pub const DEFAULT_MAX_DEPTH: u32 = 32;
@@ -137,6 +137,9 @@ impl PmrQuadtree {
         Ok(())
     }
 
+    /// Stores `entry` in every leaf under `node` its segment crosses,
+    /// classifying it against a node's four quadrants with one
+    /// [`Segment2::crosses_quadrants`] and splitting `block` once.
     #[allow(clippy::too_many_arguments)]
     fn insert_rec(
         node: &mut Node,
@@ -149,9 +152,10 @@ impl PmrQuadtree {
     ) {
         match node {
             Node::Internal(children) => {
-                for (i, child) in children.iter_mut().enumerate() {
-                    let child_block = block.quadrant(Quadrant::from_index(i));
-                    if entry.segment.crosses_rect(&child_block) {
+                let crossed = entry.segment.crosses_quadrants(&block);
+                let quadrants = children.iter_mut().zip(block.quadrants()).zip(crossed);
+                for ((child, child_block), crosses) in quadrants {
+                    if crosses {
                         Self::insert_rec(
                             child,
                             child_block,
@@ -177,8 +181,10 @@ impl PmrQuadtree {
     }
 
     /// Splits a leaf exactly once, redistributing entries into the
-    /// quadrants their segments cross. No recursion: over-full children
-    /// are allowed and will split on a later insertion.
+    /// quadrants their segments cross (one
+    /// [`Segment2::crosses_quadrants`] per entry). No recursion:
+    /// over-full children are allowed and will split on a later
+    /// insertion.
     fn split_leaf_once(node: &mut Node, block: Rect) {
         let entries = match std::mem::replace(node, Node::empty_leaf()) {
             Node::Leaf(entries) => entries,
@@ -191,9 +197,11 @@ impl PmrQuadtree {
             Node::empty_leaf(),
         ]);
         for entry in entries {
-            for (i, child) in children.iter_mut().enumerate() {
-                let child_block = block.quadrant(Quadrant::from_index(i));
-                if entry.segment.crosses_rect(&child_block) {
+            for (child, crosses) in children
+                .iter_mut()
+                .zip(entry.segment.crosses_quadrants(&block))
+            {
+                if crosses {
                     match child {
                         Node::Leaf(v) => v.push(entry),
                         Node::Internal(_) => unreachable!(),
@@ -225,8 +233,8 @@ impl PmrQuadtree {
                 out.extend(entries.iter().map(|e| (e.id, e.segment)));
             }
             Node::Internal(children) => {
-                for (i, child) in children.iter().enumerate() {
-                    Self::query_rec(child, block.quadrant(Quadrant::from_index(i)), query, out);
+                for (child, child_block) in children.iter().zip(block.quadrants()) {
+                    Self::query_rec(child, child_block, query, out);
                 }
             }
         }
@@ -259,8 +267,8 @@ impl PmrQuadtree {
             match node {
                 Node::Leaf(entries) => out.push((block, entries)),
                 Node::Internal(children) => {
-                    for (i, child) in children.iter().enumerate() {
-                        walk(child, block.quadrant(Quadrant::from_index(i)), out);
+                    for (child, child_block) in children.iter().zip(block.quadrants()) {
+                        walk(child, child_block, out);
                     }
                 }
             }

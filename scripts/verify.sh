@@ -116,9 +116,9 @@ cmp "$SPLIT_DIR/t1/split.json" "$SPLIT_DIR/t4/split.json" || {
 SMOKE_DIR=$(mktemp -d "${TMPDIR:-/tmp}/popan-smoke.XXXXXX")
 trap 'rm -rf "$DEGRADE_DIR" "$SPLIT_DIR" "$SMOKE_DIR"' EXIT
 POPAN_BENCH_DIR="$SMOKE_DIR" cargo bench -q --offline --workspace -- --smoke
-for group in spatial query split query_faults lint; do
+for group in spatial query split query_faults lint exthash pmr; do
   [ -f "$SMOKE_DIR/BENCH_$group.json" ] || {
     echo "verify: bench smoke did not produce BENCH_$group.json" >&2; exit 1; }
 done
 
-echo "verify: lint (baselined graph analysis, report archived) + build + test (POPAN_THREADS=1 and =4) + faults + resume + query suite + chaos suite + perfbench self-test + split bit-identity + bench smoke (BENCH_spatial, BENCH_query, BENCH_split, BENCH_query_faults, BENCH_lint) all green (offline)"
+echo "verify: lint (baselined graph analysis, report archived) + build + test (POPAN_THREADS=1 and =4) + faults + resume + query suite + chaos suite + perfbench self-test + split bit-identity + bench smoke (BENCH_spatial, BENCH_query, BENCH_split, BENCH_query_faults, BENCH_lint, BENCH_exthash, BENCH_pmr) all green (offline)"

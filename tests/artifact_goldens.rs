@@ -17,7 +17,15 @@ use popan::experiments::ExperimentConfig;
 fn quick_artifacts_match_committed_goldens() {
     std::env::set_var("POPAN_THREADS", "1");
     let config = ExperimentConfig::quick();
-    for id in ["table1", "table3", "churn", "phasing_sweep"] {
+    for id in [
+        "table1",
+        "table3",
+        "churn",
+        "phasing_sweep",
+        "exthash",
+        "split",
+        "pmr",
+    ] {
         let golden_path = format!("{}/tests/goldens/{id}.json", env!("CARGO_MANIFEST_DIR"));
         let golden = std::fs::read_to_string(&golden_path)
             .unwrap_or_else(|e| panic!("missing golden {golden_path}: {e}"));
