@@ -5,6 +5,11 @@
 //! * `freeze` / `serve_*`: single-thread costs — freezing a 10⁵-point
 //!   PR quadtree into a Morton-packed snapshot, and one range / count /
 //!   k-NN query through the zero-allocation serving forms.
+//! * `sort_{comparator,bucket}_*`: a range answer's canonical sort alone,
+//!   `sort_unstable_by(Point2::canonical_cmp)` against
+//!   `QueryScratch::sort_canonical` on the same inputs, at 10³ and 10⁴
+//!   points: uniform `x` (what a window's hits look like) and the three
+//!   shapes that send the bucket sort back to the comparator.
 //! * `readers_x{1,2,4}`: a fixed 4096-query load answered by 1, 2 and 4
 //!   reader threads over the same published snapshot. Before timing,
 //!   every configuration's merged result log is digested and asserted
@@ -134,6 +139,30 @@ fn run_readers(
     merged
 }
 
+/// The sort-only inputs: `uniform` is `x` uniform over a window 0.15
+/// wide that straddles 0.5 (an exponent step), `column` one `x` for
+/// every point, `outlier` a cluster 10⁻⁶ wide in `x` with one point far
+/// away, `grid10` ten columns of equal `x`. `y` is uniform in all four,
+/// and the points are in random order.
+const SORT_SHAPES: [&str; 4] = ["uniform", "column", "outlier", "grid10"];
+
+fn sort_input(shape: &str, n: usize) -> Vec<Point2> {
+    let mut rng = StdRng::seed_from_u64(0x50_27);
+    (0..n)
+        .map(|i| {
+            let y = rng.random_range(0.0..1.0);
+            let x = match shape {
+                "uniform" => rng.random_range(0.4..0.55),
+                "column" => 0.3,
+                "outlier" if i == n / 2 => 0.9,
+                "outlier" => 0.5 + rng.random_range(0.0..1e-6),
+                _ => 0.05 + (i % 10) as f64 / 10.0,
+            };
+            Point2::new(x, y)
+        })
+        .collect()
+}
+
 fn bench_query(c: &mut Criterion) {
     let mut group = c.benchmark_group("query");
 
@@ -156,6 +185,16 @@ fn bench_query(c: &mut Criterion) {
             out.len()
         })
     });
+    // ≈2250 hits, where the 0.05-side window above holds ≈250: the
+    // sort grows with the hits, the descent's block and filter work
+    // with the window's perimeter.
+    let wide = Rect::from_bounds(0.4, 0.4, 0.55, 0.55);
+    group.bench_function("serve_range_wide_1e5", |b| {
+        b.iter(|| {
+            snapshot.range_into(black_box(&wide), &mut scratch, &mut out);
+            out.len()
+        })
+    });
     group.bench_function("serve_count_1e5", |b| {
         b.iter(|| snapshot.count_with(black_box(&rect), &mut scratch))
     });
@@ -165,6 +204,28 @@ fn bench_query(c: &mut Criterion) {
             out.len()
         })
     });
+
+    // The sort alone. Each iteration copies the unsorted input into the
+    // buffer it sorts, so both rows of a pair pay the same copy.
+    for (shape, n) in SORT_SHAPES.iter().flat_map(|s| [(s, 1_000), (s, 10_000)]) {
+        let input = sort_input(shape, n);
+        let mut buf = input.clone();
+        let label = format!("{shape}_1e{}", n.ilog10());
+        group.bench_function(format!("sort_comparator_{label}"), |b| {
+            b.iter(|| {
+                buf.copy_from_slice(black_box(&input));
+                buf.sort_unstable_by(Point2::canonical_cmp);
+                buf.len()
+            })
+        });
+        group.bench_function(format!("sort_bucket_{label}"), |b| {
+            b.iter(|| {
+                buf.copy_from_slice(black_box(&input));
+                scratch.sort_canonical(&mut buf);
+                buf.len()
+            })
+        });
+    }
 
     // Batch execution: a 4096-rect load served one query at a time in
     // caller (random) order (`query_batch_serial`) vs through the

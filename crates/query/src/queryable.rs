@@ -46,7 +46,10 @@ pub trait Queryable {
     fn knn(&self, target: &Point2, k: usize) -> Vec<Point2>;
 }
 
-/// Sorts points into the canonical range-result order.
+/// Sorts points into the canonical range-result order with the
+/// comparator. The snapshot's serving range forms sort with
+/// [`popan_spatial::QueryScratch::sort_canonical`] instead; this stays
+/// the reference they are checked against.
 pub fn canonical_sort(points: &mut [Point2]) {
     points.sort_unstable_by(Point2::canonical_cmp);
 }

@@ -19,7 +19,7 @@ use popan_spatial::{
     QueryScratch, SectionDigests, SlabFootprint, SnapshotSection,
 };
 
-use crate::queryable::{canonical_sort, Queryable};
+use crate::queryable::Queryable;
 
 /// An immutable Morton-packed replica of a point set at one epoch.
 ///
@@ -186,11 +186,14 @@ impl Snapshot {
     }
 
     /// Serving-form range query: writes all stored points inside
-    /// `query` into `out` (cleared first), sorted canonically.
-    /// Allocation-free once `scratch` and `out` are warm.
+    /// `query` into `out` (cleared first), sorted by
+    /// [`Point2::canonical_cmp`]. The descent's slab-order answer is
+    /// sorted by [`QueryScratch::sort_canonical`], whose result is the
+    /// comparator sort's bit for bit. Allocation-free once `scratch`
+    /// and `out` are warm.
     pub fn range_into(&self, query: &Rect, scratch: &mut QueryScratch, out: &mut Vec<Point2>) {
         self.index.range_query_into(query, scratch, out);
-        canonical_sort(out);
+        scratch.sort_canonical(out);
     }
 
     /// Serving-form count: counts stored points inside `query` without

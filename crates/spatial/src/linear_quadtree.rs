@@ -88,8 +88,9 @@ impl std::error::Error for FreezeError {}
 pub const RANGE_DECOMPOSE_DEPTH: u32 = 8;
 
 /// Reusable buffers for the allocation-free query paths. One scratch per
-/// reader thread; contents are meaningless between calls. The unbounded
-/// range and count descents need none of them.
+/// reader thread; contents are meaningless between calls. The range and
+/// count descents need none of them; the canonical sort of a range
+/// answer ([`QueryScratch::sort_canonical`]) and the k-NN forms do.
 #[derive(Debug, Default, Clone)]
 pub struct QueryScratch {
     /// k-NN candidate list: `(distance², point)` sorted by the canonical
@@ -101,6 +102,34 @@ pub struct QueryScratch {
     /// Staging buffer for the bounded count (it must materialize
     /// candidates to trim them against the truncation bound).
     staged: Vec<Point2>,
+    /// The canonical sort's copy of the answer, which it scatters from.
+    sort_from: Vec<Point2>,
+    /// The canonical sort's bucket counts, then bucket offsets.
+    sort_counts: Vec<u32>,
+}
+
+/// Answers shorter than this are sorted by the comparator alone: on so
+/// few points the bucket passes cost more than they save.
+const BUCKET_SORT_MIN: usize = 32;
+
+/// A bucket holding more points than this is sorted on its own before
+/// the final insertion pass, which then stays linear.
+const SMALL_BUCKET: usize = 8;
+
+/// A bucket holding more than `1/SKEW_SHARE` of the answer sends the
+/// whole answer to the comparator before any point is scattered: with
+/// that much of the answer in a few buckets, sorting those buckets
+/// costs about as much as sorting the answer.
+const SKEW_SHARE: usize = 16;
+
+/// The `u64` image of `x` under [`f64::total_cmp`]'s order: a
+/// non-negative value gets its sign bit flipped, a negative one every
+/// bit. `x.total_cmp(&y) == order_key(x).cmp(&order_key(y))` for every
+/// pair of `f64`s, so `-0.0` keys below `0.0` and NaNs key where
+/// `total_cmp` puts them.
+fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)
 }
 
 impl QueryScratch {
@@ -108,6 +137,109 @@ impl QueryScratch {
     /// reused afterwards).
     pub fn new() -> Self {
         QueryScratch::default()
+    }
+
+    /// Sorts a range answer by [`Point2::canonical_cmp`] with one
+    /// bucket pass on the [`f64::total_cmp`] key of `x` (DESIGN.md §10).
+    ///
+    /// The keys' span is cut into about `points.len()` buckets of equal
+    /// key width, the points are scattered into bucket order, any bucket
+    /// holding more than a few points is sorted on its own, and one
+    /// insertion pass finishes the rest. A window's hits spread over its
+    /// `x` range, so most buckets hold one point and the passes are
+    /// linear. Short answers, and answers whose histogram puts a large
+    /// share of the points in one bucket (a column of equal `x`, an
+    /// outlier beside a tight cluster), are sorted by the comparator
+    /// instead.
+    ///
+    /// The result equals `points.sort_unstable_by(Point2::canonical_cmp)`
+    /// bit for bit: both are sorted under a total order in which only
+    /// bit-identical points compare equal. Allocation-free once the
+    /// scratch has sorted an answer at least as long: the buffers'
+    /// capacity depends only on the answer's length.
+    pub fn sort_canonical(&mut self, points: &mut [Point2]) {
+        let n = points.len();
+        if n < BUCKET_SORT_MIN || u32::try_from(n).is_err() {
+            points.sort_unstable_by(Point2::canonical_cmp);
+            return;
+        }
+        // At most 2^bucket_bits ≥ n buckets, and more than n/2 of them
+        // whenever the key span has at least bucket_bits bits.
+        let bucket_bits = usize::BITS - (n - 1).leading_zeros();
+        self.sort_counts.clear();
+        self.sort_counts.reserve(1 << bucket_bits);
+        self.sort_from.clear();
+        self.sort_from.reserve(n);
+
+        let (lo, hi) = points.iter().fold((u64::MAX, u64::MIN), |(lo, hi), p| {
+            let key = order_key(p.x);
+            (lo.min(key), hi.max(key))
+        });
+        let shift = (u64::BITS - (hi - lo).leading_zeros()).saturating_sub(bucket_bits);
+        let bucket = |p: &Point2| ((order_key(p.x) - lo) >> shift) as usize;
+
+        self.sort_counts
+            .resize(((hi - lo) >> shift) as usize + 1, 0);
+        let counts = self.sort_counts.as_mut_slice();
+        let limit = (n / SKEW_SHARE).max(SMALL_BUCKET) as u32;
+        let skewed = points.iter().any(|p| {
+            counts.get_mut(bucket(p)).is_some_and(|count| {
+                *count += 1;
+                *count > limit
+            })
+        });
+        if skewed {
+            points.sort_unstable_by(Point2::canonical_cmp);
+            return;
+        }
+
+        // Counts to first offsets, then scatter: each offset ends as its
+        // bucket's end.
+        let mut start = 0;
+        for count in counts.iter_mut() {
+            let len = *count;
+            *count = start;
+            start += len;
+        }
+        self.sort_from.extend_from_slice(points);
+        for p in &self.sort_from {
+            if let Some(offset) = counts.get_mut(bucket(p)) {
+                if let Some(slot) = points.get_mut(*offset as usize) {
+                    *slot = *p;
+                }
+                *offset += 1;
+            }
+        }
+
+        let mut start = 0;
+        for &end in counts.iter() {
+            let end = end as usize;
+            if end > start + SMALL_BUCKET {
+                if let Some(run) = points.get_mut(start..end) {
+                    run.sort_unstable_by(Point2::canonical_cmp);
+                }
+            }
+            start = end;
+        }
+        insertion_pass(points);
+    }
+}
+
+/// Insertion sort: linear when every point is at most a few places from
+/// its sorted position, as the bucket scatter leaves them.
+fn insertion_pass(points: &mut [Point2]) {
+    for i in 1..points.len() {
+        let mut j = i;
+        while let Some(prev) = j.checked_sub(1) {
+            let Some([a, b]) = points.get_mut(prev..=j) else {
+                break;
+            };
+            if a.canonical_cmp(b) != Ordering::Greater {
+                break;
+            }
+            std::mem::swap(a, b);
+            j = prev;
+        }
     }
 }
 
@@ -730,17 +862,18 @@ impl LinearQuadtree {
     /// smaller than the canonical-min corner of `block ∩ query`, so the
     /// answers collected are trimmed strictly below the smallest such
     /// corner: on [`BoundedOutcome::Partial`] the result is exactly the
-    /// full answer's canonical prefix below it. `scratch` is unused.
+    /// full answer's canonical prefix below it. The answer is sorted by
+    /// [`QueryScratch::sort_canonical`], in `scratch`'s buffers.
     pub fn range_query_bounded_into(
         &self,
         query: &Rect,
         budget: &CostBudget,
-        _scratch: &mut QueryScratch,
+        scratch: &mut QueryScratch,
         out: &mut Vec<Point2>,
     ) -> BoundedOutcome {
         out.clear();
         let outcome = self.range_bounded(query, budget, out);
-        out.sort_unstable_by(Point2::canonical_cmp);
+        scratch.sort_canonical(out);
         outcome
     }
 

@@ -1,0 +1,131 @@
+#!/usr/bin/env bash
+# Alternating parent/change pairs of perfbench runs, summarized per metric.
+#
+#   scripts/bench_pairs.sh LABEL PARENT_BIN PARENT_ROOT CHANGE_BIN CHANGE_ROOT \
+#       WORKLOAD SECONDS FIRST_SEED PAIRS
+#
+# PARENT_BIN and CHANGE_BIN are prebuilt perfbench binaries
+# (`cargo build --release --manifest-path perfbench/Cargo.toml` in each
+# checkout, then copy `perfbench/target/release/popan-perfbench`). Each
+# runs from its own checkout root, since perfbench reads the repro
+# goldens and `.git/HEAD` from there. Pair i runs seed FIRST_SEED + i
+# on both sides, untraced, for SECONDS each; the parent goes first in
+# even pairs and the change in odd ones, so host drift falls on both
+# sides alike.
+#
+# Writes bench/pairs/LABEL-WORKLOAD.json in this repository:
+#   * `host`: the `# perfbench` stamp line of each side's first run
+#     (available_parallelism, commit, threads);
+#   * `seeds`, and `first` (which side ran first in each pair);
+#   * `metrics`: for every `metric` line perfbench printed, each side's
+#     median and Q1–Q3 over the pairs, the per-pair ratio change ÷
+#     parent (median, min, max), and `wins`, the pairs the change read
+#     better in (higher is better for a `ratio` or `1/s` unit, such as
+#     `ok_frac` and `ops_per_s`, lower for every other; ties count for
+#     neither side);
+#   * `same_digests_and_counters`: the pairs whose `digest` and
+#     `counter` lines were identical on both sides;
+#   * `runs`: every run's `metric` lines, keyed by seed and side.
+# Nothing under perfbench/ is read or written except through the two
+# binaries.
+set -euo pipefail
+
+if [ "$#" -ne 9 ]; then
+  sed -n '2,4p' "$0" >&2
+  exit 2
+fi
+LABEL=$1 PARENT_BIN=$2 PARENT_ROOT=$3 CHANGE_BIN=$4 CHANGE_ROOT=$5
+WORKLOAD=$6 SECONDS_PER_RUN=$7 FIRST_SEED=$8 PAIRS=$9
+
+OUT_DIR="$(cd "$(dirname "$0")/.." && pwd)/bench/pairs"
+mkdir -p "$OUT_DIR"
+OUT="$OUT_DIR/$LABEL-$WORKLOAD.json"
+WORK=$(mktemp -d "${TMPDIR:-/tmp}/popan-pairs.XXXXXX")
+trap 'rm -rf "$WORK"' EXIT
+
+run() { # side seed
+  local bin root
+  if [ "$1" = parent ]; then bin=$PARENT_BIN root=$PARENT_ROOT; else bin=$CHANGE_BIN root=$CHANGE_ROOT; fi
+  (cd "$root" && "$bin" --workload "$WORKLOAD" --seed "$2" --seconds "$SECONDS_PER_RUN" --trace 0) \
+    > "$WORK/$1-$2.out"
+  grep '^metric ' "$WORK/$1-$2.out" | awk -v s="$2" -v side="$1" '{print s "\t" side "\t" $2 "\t" $3 "\t" $4}' \
+    >> "$WORK/metrics.tsv"
+  echo "bench_pairs: $WORKLOAD seed $2 $1 done" >&2
+}
+
+: > "$WORK/metrics.tsv"
+seeds=() firsts=() same=0
+for ((i = 0; i < PAIRS; i++)); do
+  seed=$((FIRST_SEED + i))
+  seeds+=("$seed")
+  if ((i % 2 == 0)); then order="parent change"; else order="change parent"; fi
+  firsts+=("\"${order%% *}\"")
+  for side in $order; do run "$side" "$seed"; done
+  if cmp -s <(grep -E '^(digest|counter) ' "$WORK/parent-$seed.out") \
+            <(grep -E '^(digest|counter) ' "$WORK/change-$seed.out"); then
+    same=$((same + 1))
+  fi
+done
+
+# Median and quartiles by linear interpolation between order statistics.
+quartiles() { # reads numbers on stdin, prints "q1 median q3"
+  sort -g | awk '{v[NR] = $1}
+    function q(p,   h, l) { h = 1 + p * (NR - 1); l = int(h); return v[l] + (h - l) * (v[l + 1 < NR ? l + 1 : NR] - v[l]) }
+    END { printf "%.6g %.6g %.6g", q(0.25), q(0.5), q(0.75) }'
+}
+
+join_by() { local IFS=,; echo "$*"; }
+stamp() { head -n 1 "$WORK/$1-${seeds[0]}.out" | sed 's/"/\\"/g'; }
+
+{
+  echo "{"
+  echo "  \"label\": \"$LABEL\", \"workload\": \"$WORKLOAD\", \"seconds\": $SECONDS_PER_RUN, \"pairs\": $PAIRS,"
+  echo "  \"host\": {\"parent\": \"$(stamp parent)\", \"change\": \"$(stamp change)\"},"
+  echo "  \"seeds\": [$(join_by "${seeds[@]}")],"
+  echo "  \"first\": [$(join_by "${firsts[@]}")],"
+  echo "  \"same_digests_and_counters\": $same,"
+  echo "  \"metrics\": {"
+  metrics=$(cut -f3 "$WORK/metrics.tsv" | awk '!seen[$0]++')
+  n_metrics=$(echo "$metrics" | wc -l)
+  k=0
+  for m in $metrics; do
+    k=$((k + 1))
+    unit=$(awk -F'\t' -v m="$m" '$3 == m {print $5; exit}' "$WORK/metrics.tsv")
+    read -r p1 pm p3 <<< "$(awk -F'\t' -v m="$m" '$3 == m && $2 == "parent" {print $4}' "$WORK/metrics.tsv" | quartiles)"
+    read -r c1 cm c3 <<< "$(awk -F'\t' -v m="$m" '$3 == m && $2 == "change" {print $4}' "$WORK/metrics.tsv" | quartiles)"
+    # Per-pair ratio and wins, pairing the two sides by seed.
+    pairs=$(awk -F'\t' -v m="$m" '$3 == m {v[$1 "," $2] = $4; s[$1]}
+      END { for (k in s) if ((k ",parent") in v && (k ",change") in v) print v[k ",parent"], v[k ",change"] }' \
+      "$WORK/metrics.tsv")
+    higher_better=0
+    case $unit in ratio | 1/s) higher_better=1 ;; esac
+    wins=$(echo "$pairs" | awk -v hb="$higher_better" '(hb ? $2 > $1 : $2 < $1) {w++} END {print w + 0}')
+    ratios=$(echo "$pairs" | awk '$1 != 0 {printf "%.6g\n", $2 / $1}')
+    if [ -n "$ratios" ]; then
+      read -r _ rm _ <<< "$(echo "$ratios" | quartiles)"
+      rmin=$(echo "$ratios" | sort -g | head -n 1)
+      rmax=$(echo "$ratios" | sort -g | tail -n 1)
+    else
+      rm=null rmin=null rmax=null
+    fi
+    sep=","
+    [ "$k" -eq "$n_metrics" ] && sep=""
+    printf '    "%s": {"unit": "%s", "parent": {"median": %s, "q1": %s, "q3": %s}, "change": {"median": %s, "q1": %s, "q3": %s}, "ratio": {"median": %s, "min": %s, "max": %s}, "wins": %s}%s\n' \
+      "$m" "$unit" "$pm" "$p1" "$p3" "$cm" "$c1" "$c3" "$rm" "$rmin" "$rmax" "$wins" "$sep"
+  done
+  echo "  },"
+  echo "  \"runs\": ["
+  for ((i = 0; i < PAIRS; i++)); do
+    for side in parent change; do
+      seed=${seeds[$i]}
+      body=$(awk -F'\t' -v s="$seed" -v side="$side" '$1 == s && $2 == side {printf "%s\"%s\": %s", sep, $3, $4; sep = ", "}' \
+        "$WORK/metrics.tsv")
+      sep=","
+      [ "$i" -eq $((PAIRS - 1)) ] && [ "$side" = change ] && sep=""
+      echo "    {\"seed\": $seed, \"side\": \"$side\", \"metrics\": {$body}}$sep"
+    done
+  done
+  echo "  ]"
+  echo "}"
+} > "$OUT"
+echo "bench_pairs: wrote $OUT" >&2

@@ -16,7 +16,12 @@
 //!   count exactly as pinned, and every partial answer is a prefix of
 //!   the full one;
 //! * a corrupt candidate is quarantined while readers keep serving the
-//!   last good epoch.
+//!   last good epoch;
+//! * on a third snapshot, whose points send the range answers' bucket
+//!   sort down each of its paths (an equal-`x` column, an outlier beside
+//!   a tight cluster, a dyadic grid with coincident points), the serial,
+//!   batch and unbounded bounded range forms match the full scan bit for
+//!   bit.
 
 use popan::geom::{Point2, Rect};
 use popan::query::{
@@ -294,6 +299,80 @@ fn bounded_outcomes_match_their_pins() {
             }
         }
         assert_eq!(h.finish(), pin, "{name}: digest {:#018x}", h.finish());
+    }
+}
+
+/// Points for the range sort's other paths, over 1000 uniform ones: a
+/// 64-point column at `x = 0.3`; 200 points in a cluster 10⁻⁶ wide in
+/// `x` at 0.7, with an outlier at `x = 0.95`; and a 12 × 12 grid on the
+/// 1/64 lattice whose first 16 points are doubled. A window holding
+/// most of the column or the cluster puts a large share of its answer
+/// in one `x` bucket, and one across the grid puts ten or more points
+/// in each column's bucket. The column and the grid go in with `y`
+/// descending: a leaf keeps its points in insertion order, so points of
+/// equal `x` reach the sort out of `y` order.
+fn adversarial_points() -> Vec<Point2> {
+    let mut rng = TrialRunner::new(0xad5e, 1).rng_for_trial(0);
+    let mut points = UniformRect::unit().sample_n(&mut rng, 1000);
+    points.extend(
+        (0..64)
+            .rev()
+            .map(|i| Point2::new(0.3, 0.2 + f64::from(i) / 128.0)),
+    );
+    let cluster = Rect::from_bounds(0.7, 0.1, 0.7 + 1e-6, 0.9);
+    points.extend(UniformRect::new(cluster).sample_n(&mut rng, 200));
+    points.push(Point2::new(0.95, 0.5));
+    let grid: Vec<Point2> = (0..12)
+        .flat_map(|i| (0..12).rev().map(move |j| (i, j)))
+        .map(|(i, j)| Point2::new(f64::from(i + 4) / 64.0, f64::from(j + 40) / 64.0))
+        .collect();
+    points.extend(&grid);
+    points.extend(&grid[..16]);
+    points
+}
+
+/// Windows over [`adversarial_points`]: one around each feature, the
+/// whole region, and 96 random ones from slivers to most of the region.
+fn adversarial_windows() -> Vec<Rect> {
+    let mut windows = vec![
+        Rect::from_bounds(0.29, 0.15, 0.31, 0.75),
+        Rect::from_bounds(0.6, 0.0, 1.0, 1.0),
+        Rect::from_bounds(0.69, 0.4, 0.96, 0.6),
+        Rect::from_bounds(0.0, 0.6, 0.3, 0.85),
+        Rect::from_bounds(0.0625, 0.625, 0.25, 0.8125),
+        Rect::unit(),
+    ];
+    let mut rng = TrialRunner::new(0xad5f, 1).rng_for_trial(0);
+    let corners =
+        UniformRect::new(Rect::from_bounds(-0.05, -0.05, 0.95, 0.95)).sample_n(&mut rng, 96);
+    windows.extend(corners.iter().enumerate().map(|(i, c)| {
+        let w = 0.01 + 0.8 * ((i * 37) % 96) as f64 / 96.0;
+        let h = 0.01 + 0.8 * ((i * 53) % 96) as f64 / 96.0;
+        Rect::from_bounds(c.x, c.y, c.x + w, c.y + h)
+    }));
+    windows
+}
+
+#[test]
+fn range_sort_paths_match_full_scans_through_every_range_form() {
+    let points = adversarial_points();
+    let snap = Snapshot::from_points(0, Rect::unit(), CAPACITY, points.iter().copied()).unwrap();
+    let windows = adversarial_windows();
+    let mut scratch = QueryScratch::new();
+    let mut out = Vec::new();
+    let mut batch_scratch = BatchScratch::new();
+    let mut answers = BatchAnswers::new();
+    snap.range_batch_into(&windows, &mut batch_scratch, &mut answers);
+    assert_eq!(answers.len(), windows.len());
+    for (i, rect) in windows.iter().enumerate() {
+        let expect = bits(&range_by_scan(points.iter().copied(), rect));
+        snap.range_into(rect, &mut scratch, &mut out);
+        assert_eq!(bits(&out), expect, "window {i} {rect}: serial");
+        assert_eq!(bits(answers.answer(i)), expect, "window {i} {rect}: batch");
+        let outcome =
+            snap.range_bounded_into(rect, &CostBudget::unbounded(), &mut scratch, &mut out);
+        assert!(outcome.is_complete(), "window {i} {rect}");
+        assert_eq!(bits(&out), expect, "window {i} {rect}: bounded");
     }
 }
 
