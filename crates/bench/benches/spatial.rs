@@ -6,7 +6,12 @@
 //! directly:
 //!
 //! * `build_*`: a paper-scale tree build (10⁵ uniform points) at
-//!   m ∈ {1, 8, 16};
+//!   m ∈ {1, 8, 16}, and the bintree and octree bulk builds at m = 4
+//!   (arena only);
+//! * `freeze_from_tree_churned`: `LinearQuadtree::from_tree` on a
+//!   2×10⁵-point clustered m=8 tree after 8 churn epochs, each
+//!   replacing 2.5% of the points (the freeze `churn_clustered` runs
+//!   every epoch);
 //! * `insert_remove_*`: one incremental insert+remove round trip on a
 //!   prebuilt 10⁵-point tree (the census hooks ride on this path);
 //! * `census_*`: one occupancy-profile + depth-table + leaf-count
@@ -17,12 +22,14 @@
 //!   churn/phasing/aging experiments.
 
 use popan_bench::{criterion_group, criterion_main, Criterion};
-use popan_geom::{Point2, Rect};
+use popan_geom::{Aabb3, Point2, Rect};
 use popan_rng::rngs::StdRng;
-use popan_rng::SeedableRng;
+use popan_rng::{Rng, SeedableRng};
 use popan_spatial::reference::BoxedPrQuadtree;
-use popan_spatial::{LinearQuadtree, OccupancyInstrumented, OccupancyProfile, PrQuadtree};
-use popan_workload::points::{PointSource, UniformRect};
+use popan_spatial::{
+    Bintree, LinearQuadtree, OccupancyInstrumented, OccupancyProfile, PrOctree, PrQuadtree,
+};
+use popan_workload::points::{Clustered, PointSource, UniformCube, UniformRect};
 use std::hint::black_box;
 
 const BUILD_N: usize = 100_000;
@@ -31,6 +38,28 @@ const CHURN_N: usize = 10_000;
 fn sample(n: usize, seed: u64) -> Vec<Point2> {
     let mut rng = StdRng::seed_from_u64(seed);
     UniformRect::unit().sample_n(&mut rng, n)
+}
+
+/// A 2×10⁵-point clustered m=8 tree (64 parents, σ = 0.02) after 8
+/// epochs that each remove 5000 uniformly chosen live points and insert
+/// 5000 fresh clustered ones.
+fn churned_clustered_tree() -> PrQuadtree {
+    let mut rng = StdRng::seed_from_u64(3);
+    let source = Clustered::new(Rect::unit(), 64, 0.02, &mut rng);
+    let mut live = source.sample_n(&mut rng, 200_000);
+    let mut tree = PrQuadtree::build(Rect::unit(), 8, live.iter().copied()).unwrap();
+    for _ in 0..8 {
+        for _ in 0..5_000 {
+            let p = live.swap_remove(rng.random_range(0..live.len()));
+            assert!(tree.remove(&p));
+        }
+        for _ in 0..5_000 {
+            let p = source.sample(&mut rng);
+            tree.insert(p).unwrap();
+            live.push(p);
+        }
+    }
+    tree
 }
 
 fn bench_spatial(c: &mut Criterion) {
@@ -53,6 +82,31 @@ fn bench_spatial(c: &mut Criterion) {
             })
         });
     }
+
+    group.bench_function("build_arena_bintree_m4", |b| {
+        b.iter(|| {
+            Bintree::build(Rect::unit(), 4, black_box(points.iter().copied()))
+                .unwrap()
+                .len()
+        })
+    });
+    let points3 = UniformCube::unit().sample_n(&mut StdRng::seed_from_u64(1), BUILD_N);
+    group.bench_function("build_arena_octree_m4", |b| {
+        b.iter(|| {
+            PrOctree::build(Aabb3::unit(), 4, black_box(points3.iter().copied()))
+                .unwrap()
+                .len()
+        })
+    });
+
+    let churned = churned_clustered_tree();
+    group.bench_function("freeze_from_tree_churned", |b| {
+        b.iter(|| {
+            LinearQuadtree::from_tree(black_box(&churned))
+                .unwrap()
+                .leaf_count()
+        })
+    });
 
     // Direct radix freeze: points straight to the Morton-packed linear
     // form, no arena. Compare against `freeze_1e5` in BENCH_query

@@ -123,9 +123,15 @@ impl Interval {
         }
     }
 
-    /// The child half as an interval.
+    /// The child half as an interval: the bounds [`Interval::split`]
+    /// gives that half, without building the other one.
     pub fn child(&self, half: Half) -> Interval {
-        self.split()[half.index()]
+        let m = self.mid();
+        let (lo, hi) = match half {
+            Half::Lower => (self.lo, m),
+            Half::Upper => (m, self.hi),
+        };
+        Interval::new(lo, hi)
     }
 
     /// `true` when the intervals overlap (half-open semantics).

@@ -139,9 +139,23 @@ impl Rect {
         ]
     }
 
-    /// A single quadrant.
+    /// A single quadrant, bit-identical to its entry in
+    /// [`Rect::quadrants`]; only the asked-for child is built. Bit 0 of
+    /// the quadrant index picks the x half, bit 1 the y half.
     pub fn quadrant(&self, q: Quadrant) -> Rect {
-        self.quadrants()[q.index()]
+        let i = q.index();
+        let (mx, my) = (self.x.mid(), self.y.mid());
+        let (x_lo, x_hi) = if i & 1 == 0 {
+            (self.x.lo(), mx)
+        } else {
+            (mx, self.x.hi())
+        };
+        let (y_lo, y_hi) = if i & 2 == 0 {
+            (self.y.lo(), my)
+        } else {
+            (my, self.y.hi())
+        };
+        Rect::new(Interval::new(x_lo, x_hi), Interval::new(y_lo, y_hi))
     }
 
     /// Fused [`Rect::quadrant_of`] + [`Rect::quadrant`]: the quadrant
@@ -217,6 +231,21 @@ mod tests {
         // All inside the parent.
         for q in &qs {
             assert!(r.contains_rect(q));
+        }
+    }
+
+    #[test]
+    fn quadrant_is_bit_identical_to_its_entry_in_quadrants() {
+        // Odd bounds, so the midpoints round; descend through every
+        // quadrant index in turn.
+        let bits = |r: &Rect| [r.x().lo(), r.x().hi(), r.y().lo(), r.y().hi()].map(f64::to_bits);
+        let mut r = Rect::new(Interval::new(0.137, 1.731), Interval::new(-2.5, 0.875));
+        for step in 0..40 {
+            let all = r.quadrants();
+            for (q, expected) in Quadrant::ALL.into_iter().zip(all) {
+                assert_eq!(bits(&r.quadrant(q)), bits(&expected), "step {step} {q}");
+            }
+            r = r.quadrant(Quadrant::from_index(step % 4));
         }
     }
 

@@ -33,7 +33,7 @@
 //! `leaf_records()` after arbitrary insert/remove interleavings.
 
 use crate::node_stats::{LeafRecord, OccupancyCensus};
-use popan_geom::{Aabb3, BoxN, Octant, Point2, Point3, PointN, Quadrant, Rect};
+use popan_geom::{Aabb3, BoxN, Half, Octant, Point2, Point3, PointN, Quadrant, Rect};
 
 /// Sentinel for "no spill vector attached".
 const NO_SPILL: u32 = u32::MAX;
@@ -151,12 +151,11 @@ impl Decomposition for BinDecomp {
     const BRANCHING: usize = 2;
 
     fn child_block(block: &Rect, depth: u32, i: usize) -> Rect {
+        let half = if i == 0 { Half::Lower } else { Half::Upper };
         if depth.is_multiple_of(2) {
-            let half = block.x().split()[i];
-            Rect::new(half, block.y())
+            Rect::new(block.x().child(half), block.y())
         } else {
-            let half = block.y().split()[i];
-            Rect::new(block.x(), half)
+            Rect::new(block.x(), block.y().child(half))
         }
     }
 
@@ -293,6 +292,31 @@ impl<P: Copy + Default + PartialEq> LeafPool<P> {
                 .resize(self.slab.len() + self.stride, P::default());
             (self.bufs.len() - 1) as u32
         }
+    }
+
+    /// Appends a new buffer holding `pts` in order, the state pushing
+    /// them one by one into a fresh buffer reaches. A run that fits the
+    /// stride is one slice copy into the new slab segment; a longer one
+    /// (a coincident pile or a max-depth leaf) spills through
+    /// [`LeafPool::push`]. Buffers come out in call order.
+    fn alloc_filled(&mut self, pts: &[P]) -> u32 {
+        let id = self.bufs.len() as u32;
+        let end = self.slab.len() + self.stride;
+        let (copied, spilled) = if pts.len() <= self.stride {
+            (pts, &[][..])
+        } else {
+            (&[][..], pts)
+        };
+        self.slab.extend_from_slice(copied);
+        self.slab.resize(end, P::default());
+        self.bufs.push(LeafBuf {
+            len: copied.len() as u32,
+            spill: NO_SPILL,
+        });
+        for &p in spilled {
+            self.push(id, p);
+        }
+        id
     }
 
     /// Frees a buffer (and detaches + recycles its spill vector).
@@ -545,6 +569,13 @@ impl<D: Decomposition> ArenaTree<D> {
     /// per point, every level streams a contiguous range of points once,
     /// classifying against one precomputed splitter per node.
     ///
+    /// Each block is decided leaf or split before anything is allocated
+    /// for it (DESIGN.md §9): a leaf gets one buffer, filled by one slice
+    /// copy, and one census record; a split gets a bare slot block. The
+    /// build starts from a blank leaf pool and census, so the leaf
+    /// buffers come out in pre-order and no buffer or census record is
+    /// made only to be undone.
+    ///
     /// # Panics
     ///
     /// Panics when the tree is not empty — in every build, not just
@@ -566,6 +597,10 @@ impl<D: Decomposition> ArenaTree<D> {
         if n == 0 {
             return;
         }
+        // An empty tree is one empty root leaf; the build records every
+        // leaf itself, the root's replacement included.
+        self.leaves = LeafPool::new(self.leaves.stride);
+        self.census = OccupancyCensus::new();
         let mut pts = points;
         let mut scratch = vec![D::Point::default(); n];
         self.len = n;
@@ -574,70 +609,73 @@ impl<D: Decomposition> ArenaTree<D> {
     }
 
     /// Recursive step of [`ArenaTree::bulk_fill`]: `pts` is the
-    /// insertion-order run of points belonging to `block`, `scratch` an
-    /// equally sized work area, and `slot` an empty leaf already counted
-    /// by the census at `(depth, 0)`.
+    /// insertion-order run of points belonging to `block`, `work` an
+    /// equally sized work area, and `slot` the slot the block's node goes
+    /// in. A split partitions `pts` into `work` and hands each child its
+    /// run there, with the matching stretch of `pts` as its work area, so
+    /// the two buffers alternate level by level and nothing is copied
+    /// back.
     fn bulk_rec(
         &mut self,
         slot: u32,
         block: D::Block,
         depth: u32,
         pts: &mut [D::Point],
-        scratch: &mut [D::Point],
+        work: &mut [D::Point],
     ) {
-        let n = pts.len();
-        let make_leaf = n <= self.capacity || depth >= self.max_depth || {
-            let first = pts[0];
-            pts[1..].iter().all(|q| *q == first)
+        let make_leaf = pts.len() <= self.capacity
+            || depth >= self.max_depth
+            || pts
+                .split_first()
+                .is_none_or(|(first, rest)| rest.iter().all(|q| q == first));
+        let node = if make_leaf {
+            self.census.leaf_added(depth, pts.len());
+            Slot::Leaf(self.leaves.alloc_filled(pts))
+        } else {
+            Slot::Internal(self.alloc_block_bare())
         };
-        let Slot::Leaf(buf) = self.slots[slot as usize] else {
-            unreachable!("bulk_rec target must be a leaf");
-        };
-        if make_leaf {
-            for &p in pts.iter() {
-                self.leaves.push(buf, p);
-            }
-            if n > 0 {
-                self.census.occupancy_changed(depth, 0, n);
-            }
-            return;
+        if let Some(s) = self.slots.get_mut(slot as usize) {
+            *s = node;
         }
-        self.leaves.free(buf);
-        self.census.leaf_removed(depth, 0);
-        let base = self.alloc_block();
-        self.slots[slot as usize] = Slot::Internal(base);
+        let Slot::Internal(base) = node else {
+            return;
+        };
 
         // Stable partition of the run into child runs: count, prefix-sum,
-        // scatter through the parallel scratch, copy back. Two streaming
-        // classify passes, no per-point midpoint math.
+        // scatter into the work area. Two streaming classify passes, no
+        // per-point midpoint math.
         let splitter = D::splitter(&block, depth);
         let mut offs = [0usize; MAX_BULK_BRANCHING + 1];
         for p in pts.iter() {
-            offs[D::classify(&splitter, depth, p) + 1] += 1;
+            if let Some(count) = offs.get_mut(D::classify(&splitter, depth, p) + 1) {
+                *count += 1;
+            }
         }
-        for i in 0..D::BRANCHING {
-            offs[i + 1] += offs[i];
+        let mut sum = 0;
+        for off in offs.iter_mut().take(D::BRANCHING + 1) {
+            sum += *off;
+            *off = sum;
         }
         let mut cursors = offs;
         for &p in pts.iter() {
-            let k = D::classify(&splitter, depth, &p);
-            scratch[cursors[k]] = p;
-            cursors[k] += 1;
+            let Some(cursor) = cursors.get_mut(D::classify(&splitter, depth, &p)) else {
+                continue;
+            };
+            if let Some(dst) = work.get_mut(*cursor) {
+                *dst = p;
+            }
+            *cursor += 1;
         }
-        pts.copy_from_slice(scratch);
 
-        for _ in 0..D::BRANCHING {
-            self.census.leaf_added(depth + 1, 0);
-        }
-        for i in 0..D::BRANCHING {
+        for (i, bounds) in offs.windows(2).take(D::BRANCHING).enumerate() {
+            let &[lo, hi] = bounds else {
+                continue;
+            };
+            let (Some(run), Some(child_work)) = (work.get_mut(lo..hi), pts.get_mut(lo..hi)) else {
+                continue;
+            };
             let child_block = D::child_block(&block, depth, i);
-            self.bulk_rec(
-                base + i as u32,
-                child_block,
-                depth + 1,
-                &mut pts[offs[i]..offs[i + 1]],
-                &mut scratch[offs[i]..offs[i + 1]],
-            );
+            self.bulk_rec(base + i as u32, child_block, depth + 1, run, child_work);
         }
     }
 
@@ -712,9 +750,9 @@ impl<D: Decomposition> ArenaTree<D> {
     }
 
     /// Allocates `BRANCHING` contiguous child slots *without* leaf
-    /// buffers: the slot half of [`ArenaTree::alloc_block`], which
-    /// writes every slot of the block before the tree is used — the
-    /// placeholder is never a live node.
+    /// buffers. Its callers, [`ArenaTree::alloc_block`] and the bulk
+    /// build, write every slot of the block before the tree is used —
+    /// the placeholder is never a live node.
     #[inline]
     fn alloc_block_bare(&mut self) -> u32 {
         if let Some(b) = self.free_blocks.pop() {
@@ -837,9 +875,15 @@ impl<D: Decomposition> ArenaTree<D> {
     }
 
     /// Pre-order traversal by child index — physical slot ids and
-    /// free-list state never affect visit order.
-    pub(crate) fn for_each_leaf(&self, f: &mut impl FnMut(&D::Block, u32, &[D::Point])) {
-        self.walk(ROOT, &self.region, 0, f);
+    /// free-list state never affect visit order. Besides each leaf's
+    /// block, depth and points, `f` gets its digit path: the child
+    /// indices from the root down, base `BRANCHING`, most significant
+    /// first (digits older than 64 bits' worth shift out). For the
+    /// quadtree the quadrant index is the Morton digit, so a leaf's path
+    /// is its block's Morton prefix (DESIGN.md §15); callers that do not
+    /// need it ignore it.
+    pub(crate) fn for_each_leaf(&self, f: &mut impl FnMut(&D::Block, u32, u64, &[D::Point])) {
+        self.walk(ROOT, &self.region, 0, 0, f);
     }
 
     fn walk(
@@ -847,23 +891,26 @@ impl<D: Decomposition> ArenaTree<D> {
         slot: u32,
         block: &D::Block,
         depth: u32,
-        f: &mut impl FnMut(&D::Block, u32, &[D::Point]),
+        path: u64,
+        f: &mut impl FnMut(&D::Block, u32, u64, &[D::Point]),
     ) {
-        match self.slots[slot as usize] {
-            Slot::Leaf(buf) => f(block, depth, self.leaves.points(buf)),
-            Slot::Internal(base) => {
+        match self.slots.get(slot as usize) {
+            Some(&Slot::Leaf(buf)) => f(block, depth, path, self.leaves.points(buf)),
+            Some(&Slot::Internal(base)) => {
                 for i in 0..D::BRANCHING {
                     let child_block = D::child_block(block, depth, i);
-                    self.walk(base + i as u32, &child_block, depth + 1, f);
+                    let child_path = path.wrapping_mul(D::BRANCHING as u64) | i as u64;
+                    self.walk(base + i as u32, &child_block, depth + 1, child_path, f);
                 }
             }
+            None => {}
         }
     }
 
     /// One record per leaf, in traversal order.
     pub(crate) fn leaf_records(&self) -> Vec<LeafRecord> {
         let mut out = Vec::new();
-        self.for_each_leaf(&mut |_, depth, points| {
+        self.for_each_leaf(&mut |_, depth, _, points| {
             out.push(LeafRecord {
                 depth,
                 occupancy: points.len(),
@@ -878,7 +925,7 @@ impl<D: Decomposition> ArenaTree<D> {
     pub(crate) fn check_invariants(&self) {
         let mut total = 0usize;
         let mut records: Vec<LeafRecord> = Vec::new();
-        self.for_each_leaf(&mut |block, depth, points| {
+        self.for_each_leaf(&mut |block, depth, _, points| {
             total += points.len();
             records.push(LeafRecord {
                 depth,
@@ -1045,41 +1092,183 @@ mod tests {
         }
     }
 
+    /// Every leaf in traversal order: depth, digit path and points.
+    fn leaves_of<D: Decomposition>(t: &ArenaTree<D>) -> Vec<(u32, u64, Vec<D::Point>)> {
+        let mut out = Vec::new();
+        t.for_each_leaf(&mut |_, depth, path, pts| out.push((depth, path, pts.to_vec())));
+        out
+    }
+
+    /// The leaf buffer ids in pre-order.
+    fn leaf_bufs<D: Decomposition>(t: &ArenaTree<D>, slot: u32, out: &mut Vec<u32>) {
+        match t.slots[slot as usize] {
+            Slot::Leaf(buf) => out.push(buf),
+            Slot::Internal(base) => {
+                for i in 0..D::BRANCHING {
+                    leaf_bufs(t, base + i as u32, out);
+                }
+            }
+        }
+    }
+
+    /// Asserts that `a` and `b` are observably the same tree: leaves in
+    /// traversal order, census, node count and length.
+    fn assert_same_tree<D: Decomposition>(a: &ArenaTree<D>, b: &ArenaTree<D>, what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}");
+        assert_eq!(a.node_count(), b.node_count(), "{what}");
+        assert_eq!(a.census(), b.census(), "{what}");
+        assert_eq!(leaves_of(a), leaves_of(b), "{what}");
+    }
+
+    /// Bulk-fills and sequentially inserts `pts`, asserts the two trees
+    /// are the same, and that the bulk build made one leaf buffer per
+    /// leaf, in pre-order, and freed none. Returns `(bulk, sequential)`.
+    fn bulk_and_sequential<D: Decomposition>(
+        region: D::Block,
+        capacity: usize,
+        max_depth: u32,
+        pts: &[D::Point],
+    ) -> (ArenaTree<D>, ArenaTree<D>) {
+        let mut seq: ArenaTree<D> = ArenaTree::new(region, capacity, max_depth);
+        for &p in pts {
+            seq.insert(p);
+        }
+        let mut bulk: ArenaTree<D> = ArenaTree::new(region, capacity, max_depth);
+        bulk.bulk_fill(pts.to_vec());
+        bulk.check_invariants();
+        let what = format!("m={capacity} max_depth={max_depth} n={}", pts.len());
+        assert_same_tree(&bulk, &seq, &what);
+        if !pts.is_empty() {
+            let mut bufs = Vec::new();
+            leaf_bufs(&bulk, ROOT, &mut bufs);
+            let expected: Vec<u32> = (0..bufs.len() as u32).collect();
+            assert_eq!(bufs, expected, "{what}: leaf buffers not in pre-order");
+            assert!(
+                bulk.leaves.free.is_empty(),
+                "{what}: bulk build freed a buffer"
+            );
+        }
+        (bulk, seq)
+    }
+
+    /// `n` points of a low-discrepancy sequence, coordinate `k` stepping
+    /// by the `k`-th irrational below.
+    fn spread<const K: usize>(n: usize) -> Vec<[f64; K]> {
+        const STEPS: [f64; 4] = [0.618_033_9, 0.414_213_6, 0.732_050_8, 0.236_068_0];
+        (0..n)
+            .map(|i| std::array::from_fn(|k| (i as f64 * STEPS[k]) % 1.0))
+            .collect()
+    }
+
+    /// Spread points, then a coincident pile longer than any stride the
+    /// capacities below use (so it spills), a near-duplicate pair only
+    /// `max_depth` separates, and a point by the far corner.
+    fn messy<const K: usize>() -> Vec<[f64; K]> {
+        let mut pts = spread::<K>(80);
+        pts.extend([[0.123; K]; 12]);
+        pts.push([0.777; K]);
+        pts.push([0.777 + 1e-12; K]);
+        pts.push([0.9999; K]);
+        pts
+    }
+
     #[test]
     fn bulk_fill_matches_sequential_insertion() {
         // Same multiset, same order: bulk construction must land on the
-        // identical structure, leaf contents and census — including
-        // coincident piles and max-depth truncation.
-        let pile = pt(0.123, 0.456);
-        let mut pts: Vec<Point2> = (0..80)
-            .map(|i| {
-                pt(
-                    (i as f64 * 0.618_033_9) % 1.0,
-                    (i as f64 * 0.414_213_6) % 1.0,
-                )
-            })
-            .collect();
-        pts.extend([pile; 5]);
-        pts.push(pt(0.9999, 0.9999));
-        for (capacity, max_depth) in [(1, 32), (4, 32), (2, 3), (8, 0)] {
-            let mut seq: ArenaTree<QuadDecomp> = ArenaTree::new(Rect::unit(), capacity, max_depth);
-            for &p in &pts {
+        // identical structure, leaf contents and census in every scheme,
+        // including spilled piles and max-depth truncation.
+        for (capacity, max_depth) in [(1, 32), (4, 32), (2, 3), (8, 0), (3, 1)] {
+            let quad: Vec<Point2> = messy::<2>().iter().map(|&[x, y]| pt(x, y)).collect();
+            let (bulk, _) =
+                bulk_and_sequential::<QuadDecomp>(Rect::unit(), capacity, max_depth, &quad);
+            // The pile must really spill, or alloc_filled's long-run
+            // path went untested.
+            assert!(!bulk.leaves.spills.is_empty(), "m={capacity}: no spill");
+            bulk_and_sequential::<BinDecomp>(Rect::unit(), capacity, max_depth, &quad);
+            let oct: Vec<Point3> = messy::<3>()
+                .iter()
+                .map(|&[x, y, z]| Point3::new(x, y, z))
+                .collect();
+            bulk_and_sequential::<OctDecomp>(Aabb3::unit(), capacity, max_depth, &oct);
+            let nd: Vec<PointN<4>> = messy::<4>().into_iter().map(PointN::new).collect();
+            bulk_and_sequential::<NdDecomp<4>>(BoxN::unit(), capacity, max_depth, &nd);
+        }
+    }
+
+    /// Builds `seed` both ways, then applies one insert/remove sequence
+    /// to both trees; removes pick a live point by index, so both sides
+    /// remove the same point.
+    fn churn_after_build<D: Decomposition>(
+        region: D::Block,
+        capacity: usize,
+        max_depth: u32,
+        seed: Vec<D::Point>,
+        ops: &[(bool, D::Point)],
+    ) {
+        let (mut bulk, mut seq) = bulk_and_sequential::<D>(region, capacity, max_depth, &seed);
+        let mut live = seed;
+        for (i, &(insert, p)) in ops.iter().enumerate() {
+            if insert || live.is_empty() {
+                bulk.insert(p);
                 seq.insert(p);
+                live.push(p);
+            } else {
+                let victim = live.swap_remove((i * 7919) % live.len());
+                assert!(bulk.remove(&victim));
+                assert!(seq.remove(&victim));
             }
-            let mut bulk: ArenaTree<QuadDecomp> = ArenaTree::new(Rect::unit(), capacity, max_depth);
-            bulk.bulk_fill(pts.clone());
-            bulk.check_invariants();
-            assert_eq!(bulk.len(), seq.len());
-            assert_eq!(bulk.node_count(), seq.node_count(), "m={capacity}");
-            assert_eq!(bulk.census(), seq.census(), "m={capacity}");
-            let mut seq_leaves = Vec::new();
-            seq.for_each_leaf(&mut |_, d, ps| seq_leaves.push((d, ps.to_vec())));
-            let mut bulk_leaves = Vec::new();
-            bulk.for_each_leaf(&mut |_, d, ps| bulk_leaves.push((d, ps.to_vec())));
-            assert_eq!(
-                bulk_leaves, seq_leaves,
-                "m={capacity} max_depth={max_depth}"
-            );
+        }
+        bulk.check_invariants();
+        seq.check_invariants();
+        assert_same_tree(&bulk, &seq, "after churn");
+    }
+
+    /// A generated point: a kind and four coordinates.
+    type Sample = (u8, f64, f64, f64, f64);
+
+    /// The sample's coordinates, snapped to a 4-cell grid per axis for
+    /// kinds 0–2, so coincident piles and split-line points are common.
+    fn coords(&(kind, a, b, c, d): &Sample) -> [f64; 4] {
+        [a, b, c, d].map(|v| if kind < 3 { (v * 4.0).floor() / 4.0 } else { v })
+    }
+
+    use popan_proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn churn_after_bulk_build_matches_churn_after_insertion(
+            seed in popan_proptest::collection::vec(
+                (0u8..8, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+                0..120,
+            ),
+            ops in popan_proptest::collection::vec(
+                (popan_proptest::bool::ANY, (0u8..8, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0)),
+                0..80,
+            ),
+            capacity in 1usize..6,
+            deep in popan_proptest::bool::ANY,
+        ) {
+            let max_depth = if deep { 32 } else { 3 };
+            let seed: Vec<[f64; 4]> = seed.iter().map(coords).collect();
+            let ops: Vec<(bool, [f64; 4])> = ops.iter().map(|(ins, s)| (*ins, coords(s))).collect();
+
+            let p2 = |c: &[f64; 4]| pt(c[0], c[1]);
+            let quad: Vec<Point2> = seed.iter().map(p2).collect();
+            let quad_ops: Vec<(bool, Point2)> = ops.iter().map(|(i, c)| (*i, p2(c))).collect();
+            churn_after_build::<QuadDecomp>(Rect::unit(), capacity, max_depth, quad.clone(), &quad_ops);
+            churn_after_build::<BinDecomp>(Rect::unit(), capacity, max_depth, quad, &quad_ops);
+
+            let p3 = |c: &[f64; 4]| Point3::new(c[0], c[1], c[2]);
+            let oct: Vec<Point3> = seed.iter().map(p3).collect();
+            let oct_ops: Vec<(bool, Point3)> = ops.iter().map(|(i, c)| (*i, p3(c))).collect();
+            churn_after_build::<OctDecomp>(Aabb3::unit(), capacity, max_depth, oct, &oct_ops);
+
+            let nd: Vec<PointN<4>> = seed.into_iter().map(PointN::new).collect();
+            let nd_ops: Vec<(bool, PointN<4>)> =
+                ops.into_iter().map(|(i, c)| (i, PointN::new(c))).collect();
+            churn_after_build::<NdDecomp<4>>(BoxN::unit(), capacity, max_depth, nd, &nd_ops);
         }
     }
 

@@ -93,7 +93,7 @@ impl Bintree {
     /// Visits every leaf: the block, its depth, and its stored points.
     pub fn for_each_leaf(&self, mut f: impl FnMut(Rect, u32, &[Point2])) {
         self.tree
-            .for_each_leaf(&mut |block, depth, points| f(*block, depth, points));
+            .for_each_leaf(&mut |block, depth, _, points| f(*block, depth, points));
     }
 
     /// All stored points, in leaf-traversal order.

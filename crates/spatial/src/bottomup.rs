@@ -335,7 +335,6 @@ impl std::error::Error for DirectFreezeError {}
 struct Freeze {
     s: Sorted,
     builder: LinearBuilder,
-    region: Rect,
     capacity: usize,
     max_depth: u32,
     /// Per-depth cell sizes (`w / 2^d`, `h / 2^d`), precomputed by
@@ -357,7 +356,6 @@ impl Freeze {
         Freeze {
             s,
             builder: LinearBuilder::default(),
-            region,
             capacity,
             max_depth,
             step,
@@ -453,11 +451,14 @@ impl Freeze {
                 self.max_depth - depth,
             );
             sub.bulk_fill(self.s.spts[lo..hi].to_vec());
-            let Freeze {
-                builder, region, ..
-            } = self;
-            sub.for_each_leaf(&mut |block, d, pts| {
-                builder.push_tree_leaf(region, *block, depth + d, pts)
+            // The subtree's digit paths continue the run's prefix. A
+            // shift of 64 bits or more only comes below the Morton
+            // resolution, where the leaf is recorded as too deep and
+            // its code is never used.
+            let builder = &mut self.builder;
+            sub.for_each_leaf(&mut |block, d, path, pts| {
+                let path = prefix.checked_shl(2 * d).unwrap_or(0) | path;
+                builder.push_tree_leaf(path, *block, depth + d, pts)
             });
             return;
         }

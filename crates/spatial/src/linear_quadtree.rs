@@ -471,26 +471,19 @@ impl LinearBuilder {
             .points_len += pts.len() as u32;
     }
 
-    /// Appends one leaf of a pointer-tree walk over `region`, keyed by
-    /// the Morton code of its block's low corner. A leaf below the
-    /// Morton resolution cannot be given a unique code, so it is only
-    /// recorded as too deep.
-    pub(crate) fn push_tree_leaf(
-        &mut self,
-        region: &Rect,
-        block: Rect,
-        depth: u32,
-        pts: &[Point2],
-    ) {
+    /// Appends one leaf of a pointer-tree walk, keyed by its digit path
+    /// (DESIGN.md §15). On a grid-exact region the quadrant digits of a
+    /// depth-d leaf are its block's 2d-bit Morton prefix, so the block's
+    /// first code, that of its low corner, is the path followed by
+    /// zeros, and the block spans 4^(MORTON_BITS − d) codes. A leaf
+    /// below the Morton resolution cannot be given a unique code, so it
+    /// is only recorded as too deep.
+    pub(crate) fn push_tree_leaf(&mut self, path: u64, block: Rect, depth: u32, pts: &[Point2]) {
         if depth > morton::MORTON_BITS {
             self.too_deep = Some(self.too_deep.map_or(depth, |d| d.max(depth)));
             return;
         }
-        // The block's Morton range: its low corner's code is the
-        // smallest in the block; a depth-d block spans
-        // 4^(MORTON_BITS − d) codes.
-        let corner = Point2::new(block.x().lo(), block.y().lo());
-        self.begin_leaf(morton::morton_of_point(&corner, region), depth, block);
+        self.begin_leaf(path << (2 * (morton::MORTON_BITS - depth)), depth, block);
         self.push_points(pts);
     }
 
@@ -532,6 +525,9 @@ impl LinearQuadtree {
     /// The arena walk is pre-order by child index, and on a grid-exact
     /// region child index order *is* ascending Morton order (DESIGN.md
     /// §15), so the leaves arrive sorted and go straight into the slabs.
+    /// The walk threads each leaf's quadrant digits down with it, and
+    /// those digits are the leaf's Morton prefix, so no block corner is
+    /// quantized.
     ///
     /// Fails with [`FreezeError::RegionNotGridExact`] when the tree's
     /// region fails [`morton::morton_grid_exact`], and with
@@ -546,7 +542,9 @@ impl LinearQuadtree {
         }
         let mut builder = LinearBuilder::default();
         builder.reserve(tree.leaf_count(), tree.len());
-        tree.for_each_leaf(|block, depth, pts| builder.push_tree_leaf(&region, block, depth, pts));
+        tree.arena().for_each_leaf(&mut |block, depth, path, pts| {
+            builder.push_tree_leaf(path, *block, depth, pts)
+        });
         LinearQuadtree::assemble(builder, region)
     }
 

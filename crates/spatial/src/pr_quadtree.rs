@@ -358,10 +358,15 @@ impl PrQuadtree {
         self.tree.census()
     }
 
+    /// The arena core, for the freeze's path-threaded walk.
+    pub(crate) fn arena(&self) -> &ArenaTree<QuadDecomp> {
+        &self.tree
+    }
+
     /// Visits every leaf with its block, depth and points.
     pub fn for_each_leaf(&self, mut f: impl FnMut(Rect, u32, &[Point2])) {
         self.tree
-            .for_each_leaf(&mut |block, depth, points| f(*block, depth, points));
+            .for_each_leaf(&mut |block, depth, _, points| f(*block, depth, points));
     }
 
     /// All stored points, in leaf order.

@@ -116,7 +116,8 @@ impl<const D: usize> PrTreeNd<D> {
 
     /// Visits every leaf: the block, its depth, and its stored points.
     pub fn for_each_leaf(&self, mut f: impl FnMut(&BoxN<D>, u32, &[PointN<D>])) {
-        self.tree.for_each_leaf(&mut f);
+        self.tree
+            .for_each_leaf(&mut |block, depth, _, points| f(block, depth, points));
     }
 
     /// All stored points, in leaf-traversal order.

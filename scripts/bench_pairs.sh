@@ -16,6 +16,10 @@
 # Writes bench/pairs/LABEL-WORKLOAD.json in this repository:
 #   * `host`: the `# perfbench` stamp line of each side's first run
 #     (available_parallelism, commit, threads);
+#   * `checkout`: each side's checkout `HEAD` and whether its working
+#     tree was dirty (`git status --porcelain` non-empty) before the
+#     runs. The stamp reads `.git/HEAD` only, so a run from a dirty
+#     tree carries the commit it was not built from;
 #   * `seeds`, and `first` (which side ran first in each pair);
 #   * `metrics`: for every `metric` line perfbench printed, each side's
 #     median and Q1–Q3 over the pairs, the per-pair ratio change ÷
@@ -53,6 +57,14 @@ run() { # side seed
   echo "bench_pairs: $WORKLOAD seed $2 $1 done" >&2
 }
 
+checkout() { # root: {"head": ..., "dirty": ...}
+  local head dirty=false
+  head=$(git -C "$1" rev-parse HEAD 2> /dev/null || echo unknown)
+  [ -n "$(git -C "$1" --no-optional-locks status --porcelain 2> /dev/null)" ] && dirty=true
+  echo "{\"head\": \"$head\", \"dirty\": $dirty}"
+}
+CHECKOUT_PARENT=$(checkout "$PARENT_ROOT") CHECKOUT_CHANGE=$(checkout "$CHANGE_ROOT")
+
 : > "$WORK/metrics.tsv"
 seeds=() firsts=() same=0
 for ((i = 0; i < PAIRS; i++)); do
@@ -81,6 +93,7 @@ stamp() { head -n 1 "$WORK/$1-${seeds[0]}.out" | sed 's/"/\\"/g'; }
   echo "{"
   echo "  \"label\": \"$LABEL\", \"workload\": \"$WORKLOAD\", \"seconds\": $SECONDS_PER_RUN, \"pairs\": $PAIRS,"
   echo "  \"host\": {\"parent\": \"$(stamp parent)\", \"change\": \"$(stamp change)\"},"
+  echo "  \"checkout\": {\"parent\": $CHECKOUT_PARENT, \"change\": $CHECKOUT_CHANGE},"
   echo "  \"seeds\": [$(join_by "${seeds[@]}")],"
   echo "  \"first\": [$(join_by "${firsts[@]}")],"
   echo "  \"same_digests_and_counters\": $same,"

@@ -270,7 +270,15 @@ fn bounded_outcomes_match_their_pins() {
     let mut scratch = QueryScratch::new();
     let mut full = Vec::new();
     let mut partial = Vec::new();
-    for ((name, _, snap), (pin_name, pin)) in snapshots().into_iter().zip(PINS) {
+    let snapshots = snapshots();
+    // `zip` stops at the shorter side: a snapshot without a pin would
+    // go unchecked.
+    assert_eq!(
+        snapshots.len(),
+        PINS.len(),
+        "every snapshot needs a pin, and every pin a snapshot"
+    );
+    for ((name, _, snap), (pin_name, pin)) in snapshots.into_iter().zip(PINS) {
         assert_eq!(name, pin_name);
         let mut h = Fnv64::new();
         for (i, rect) in windows.iter().enumerate() {
