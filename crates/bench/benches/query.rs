@@ -234,8 +234,8 @@ fn bench_query(c: &mut Criterion) {
     // timing — the schedule is a throughput knob, never an answer knob.
     // The schedule's point is leaf-slab locality, so this pair runs
     // against its own larger snapshot (BATCH_N points ≈ 16 MB of point
-    // slab, well past a per-core L2) built through the direct
-    // points→snapshot freeze; small windows keep each query's own
+    // slab, well past a per-core L2), built and frozen by
+    // `Snapshot::from_points`; small windows keep each query's own
     // footprint tiny so the *order* of queries is what moves the
     // working set.
     let batch_snapshot = {

@@ -108,23 +108,6 @@ fn bench_spatial(c: &mut Criterion) {
         })
     });
 
-    // Direct radix freeze: points straight to the Morton-packed linear
-    // form, no arena. Compare against `freeze_1e5` in BENCH_query
-    // (which freezes a prebuilt tree) plus `build_arena_m8` (the build
-    // that freeze presupposes).
-    group.bench_function("freeze_direct", |b| {
-        b.iter(|| {
-            LinearQuadtree::from_points_direct(
-                Rect::unit(),
-                8,
-                popan_spatial::pr_quadtree::DEFAULT_MAX_DEPTH,
-                black_box(points.clone()),
-            )
-            .unwrap()
-            .leaf_count()
-        })
-    });
-
     // Incremental operation cost: insert + remove restores the tree, so
     // the prebuilt structure is reused across iterations.
     let extra = Point2::new(0.123_456, 0.654_321);

@@ -253,11 +253,12 @@ pub fn find_sinks(scans: &[FileScan], table: &SymbolTable, graph: &CallGraph) ->
 }
 
 /// Keywords that may directly precede `[` without forming an indexing
-/// expression (`return [..]`, `break [..]`, `in [..]`, ...).
+/// expression (`return [..]`, `break [..]`, `in [..]`, `let [a, b] = ..`,
+/// ...).
 fn is_value_break(s: &str) -> bool {
     matches!(
         s,
-        "return" | "break" | "in" | "if" | "else" | "match" | "mut" | "ref" | "as" | "dyn"
+        "return" | "break" | "in" | "if" | "else" | "match" | "mut" | "ref" | "as" | "dyn" | "let"
     )
 }
 
@@ -677,7 +678,11 @@ mod tests {
     fn indexing_is_a_panic_sink_but_types_and_attrs_are_not() {
         let (_, _, _, sinks) = analyze(&[(
             "crates/query/src/lib.rs",
-            "#[derive(Clone)]\nfn f(v: &[u8], i: usize) -> u8 { let a: [u8; 4] = [0; 4]; v[i] }\n",
+            // One construct per line: sinks are kept once per line.
+            "#[derive(Clone)]\nfn f(v: &[u8], i: usize, pair: [u8; 2]) -> u8 {\n\
+             let a: [u8; 4] = [0; 4];\n\
+             let [b, c] = pair;\n\
+             v[i]\n}\n",
         )]);
         let idx: Vec<_> = sinks.iter().filter(|s| s.what == "[] indexing").collect();
         assert_eq!(idx.len(), 1, "{sinks:?}");

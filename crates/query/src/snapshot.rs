@@ -15,8 +15,8 @@
 
 use popan_geom::{Point2, Rect};
 use popan_spatial::{
-    BoundedOutcome, CostBudget, DirectFreezeError, FreezeError, LinearQuadtree, PrQuadtree,
-    QueryScratch, SectionDigests, SlabFootprint, SnapshotSection,
+    BoundedOutcome, CostBudget, FreezeError, LinearQuadtree, PrQuadtree, QueryScratch,
+    SectionDigests, SlabFootprint, SnapshotSection,
 };
 
 use crate::queryable::Queryable;
@@ -55,32 +55,18 @@ impl Snapshot {
 
     /// Builds a snapshot directly from points: the route for structures
     /// that are not PR quadtrees (EXCELL, grid file, …): enumerate,
-    /// rebuild, freeze. Since the Morton-radix bulk path landed this
-    /// freezes bottom-up ([`LinearQuadtree::from_points_direct`]),
-    /// skipping the pointer tree entirely on grid-exact regions —
-    /// same validation, same errors, bit-identical slabs and digests.
+    /// rebuild, freeze. It is [`PrQuadtree::build`] followed by
+    /// [`Snapshot::freeze`], so it refuses what they refuse, in their
+    /// order: the capacity, then the points, then the region.
     pub fn from_points(
         epoch: u64,
         region: Rect,
         capacity: usize,
         points: impl IntoIterator<Item = Point2>,
     ) -> Result<Snapshot, SnapshotBuildError> {
-        let index = LinearQuadtree::from_points_direct(
-            region,
-            capacity,
-            popan_spatial::pr_quadtree::DEFAULT_MAX_DEPTH,
-            points.into_iter().collect(),
-        )
-        .map_err(|e| match e {
-            DirectFreezeError::Tree(t) => SnapshotBuildError::Tree(t.to_string()),
-            DirectFreezeError::Freeze(f) => SnapshotBuildError::Freeze(f),
-        })?;
-        let digests = index.section_digests();
-        Ok(Snapshot {
-            epoch,
-            index,
-            digests,
-        })
+        let tree = PrQuadtree::build(region, capacity, points)
+            .map_err(|e| SnapshotBuildError::Tree(e.to_string()))?;
+        Snapshot::freeze(epoch, &tree).map_err(SnapshotBuildError::Freeze)
     }
 
     /// The epoch this snapshot was published at.
@@ -418,6 +404,30 @@ mod tests {
         assert!(matches!(err, SnapshotBuildError::Tree(_)), "{err}");
         let err = Snapshot::from_points(0, Rect::unit(), 1, [Point2::new(2.0, 2.0)]).unwrap_err();
         assert!(err.to_string().contains("load tree"), "{err}");
+        // A region that is not grid-exact is refused, but only after the
+        // capacity and the points pass.
+        let region = Rect::from_bounds(-10.0, 5.0, 30.0, 25.0);
+        let pts = (0..60).map(|i| {
+            let i = f64::from(i);
+            Point2::new(-10.0 + (i * 0.61) % 40.0, 5.0 + (i * 0.41) % 20.0)
+        });
+        let err = Snapshot::from_points(0, region, 3, pts).unwrap_err();
+        assert_eq!(
+            err,
+            SnapshotBuildError::Freeze(FreezeError::RegionNotGridExact)
+        );
+        assert!(err.to_string().contains("grid-exact"), "{err}");
+        let err = Snapshot::from_points(0, region, 0, []).unwrap_err();
+        assert!(matches!(err, SnapshotBuildError::Tree(_)), "{err}");
+        let err = Snapshot::from_points(0, region, 1, [Point2::new(f64::NAN, 6.0)]).unwrap_err();
+        assert!(matches!(err, SnapshotBuildError::Tree(_)), "{err}");
+        // Two points in one full-resolution Morton cell split past it.
+        let pair = [Point2::new(0.5, 0.5), Point2::new(0.5 + 1e-12, 0.5)];
+        let err = Snapshot::from_points(0, Rect::unit(), 1, pair).unwrap_err();
+        assert_eq!(
+            err,
+            SnapshotBuildError::Freeze(FreezeError::DepthExceedsMortonBits { depth: 32, max: 31 })
+        );
     }
 
     #[test]

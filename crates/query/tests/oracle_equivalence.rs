@@ -26,8 +26,6 @@ fn backends(points: &[Point2], capacity: usize) -> Vec<(&'static str, Box<dyn Qu
     let tree = PrQuadtree::build(Rect::unit(), capacity, points.iter().copied()).unwrap();
     let linear = LinearQuadtree::from_tree(&tree).unwrap();
     let snapshot = Snapshot::freeze(0, &tree).unwrap();
-    // The direct points → snapshot freeze, which never builds a tree.
-    let direct = Snapshot::from_points(0, Rect::unit(), capacity, points.iter().copied()).unwrap();
     let bintree = Bintree::build(Rect::unit(), capacity, points.iter().copied()).unwrap();
     let nd = PrTreeNd::<2>::build(
         popan_geom::BoxN::unit(),
@@ -45,7 +43,6 @@ fn backends(points: &[Point2], capacity: usize) -> Vec<(&'static str, Box<dyn Qu
         ("pr_quadtree", Box::new(tree)),
         ("linear_quadtree", Box::new(linear)),
         ("snapshot", Box::new(snapshot)),
-        ("snapshot_direct", Box::new(direct)),
         ("bintree", Box::new(bintree)),
         ("pr_tree_nd2", Box::new(nd)),
         ("excell", Box::new(excell)),

@@ -43,7 +43,6 @@
 #![warn(missing_docs)]
 
 mod arena;
-mod bottomup;
 
 pub mod bintree;
 pub mod linear_quadtree;
@@ -58,7 +57,6 @@ pub mod reference;
 pub mod visualize;
 
 pub use bintree::Bintree;
-pub use bottomup::DirectFreezeError;
 pub use linear_quadtree::{
     knn_cmp, BoundedOutcome, CostBudget, FreezeError, LinearQuadtree, QueryCost, QueryScratch,
     SectionDigests, SlabFootprint, SnapshotSection,

@@ -431,70 +431,6 @@ impl<'a> SlabBlock<'a> {
     }
 }
 
-/// Incremental slab accumulator for [`LinearQuadtree::assemble`]: both
-/// freeze routes emit leaves in ascending Morton order and points
-/// grouped by leaf, exactly the frozen layout, so assembly is a move.
-#[derive(Debug, Default)]
-pub(crate) struct LinearBuilder {
-    leaves: Vec<LeafEntry>,
-    blocks: Vec<Rect>,
-    points: Vec<Point2>,
-    /// The deepest leaf seen below the Morton resolution, if any; such
-    /// leaves get no record and make [`LinearQuadtree::assemble`] fail.
-    too_deep: Option<u32>,
-}
-
-impl LinearBuilder {
-    /// Starts a leaf record; its `points_len` grows with each
-    /// [`LinearBuilder::push_points`] until the next leaf begins.
-    pub(crate) fn begin_leaf(&mut self, code_lo: u64, depth: u32, block: Rect) {
-        debug_assert!(
-            self.leaves.last().is_none_or(|l| l.code_lo <= code_lo),
-            "leaves must arrive in ascending Morton order"
-        );
-        self.leaves.push(LeafEntry {
-            code_lo,
-            code_hi: code_lo + morton::cells_at_depth(depth),
-            depth,
-            points_start: self.points.len() as u32,
-            points_len: 0,
-        });
-        self.blocks.push(block);
-    }
-
-    /// Appends a whole run to the currently open leaf.
-    pub(crate) fn push_points(&mut self, pts: &[Point2]) {
-        self.points.extend_from_slice(pts);
-        self.leaves
-            .last_mut()
-            .expect("push_points requires an open leaf")
-            .points_len += pts.len() as u32;
-    }
-
-    /// Appends one leaf of a pointer-tree walk, keyed by its digit path
-    /// (DESIGN.md §15). On a grid-exact region the quadrant digits of a
-    /// depth-d leaf are its block's 2d-bit Morton prefix, so the block's
-    /// first code, that of its low corner, is the path followed by
-    /// zeros, and the block spans 4^(MORTON_BITS − d) codes. A leaf
-    /// below the Morton resolution cannot be given a unique code, so it
-    /// is only recorded as too deep.
-    pub(crate) fn push_tree_leaf(&mut self, path: u64, block: Rect, depth: u32, pts: &[Point2]) {
-        if depth > morton::MORTON_BITS {
-            self.too_deep = Some(self.too_deep.map_or(depth, |d| d.max(depth)));
-            return;
-        }
-        self.begin_leaf(path << (2 * (morton::MORTON_BITS - depth)), depth, block);
-        self.push_points(pts);
-    }
-
-    /// Pre-reserves slab capacity (bulk-freeze hint).
-    pub(crate) fn reserve(&mut self, leaves: usize, points: usize) {
-        self.leaves.reserve(leaves);
-        self.blocks.reserve(leaves);
-        self.points.reserve(points);
-    }
-}
-
 /// A frozen, pointerless PR quadtree.
 #[derive(Debug, Clone)]
 pub struct LinearQuadtree {
@@ -540,26 +476,36 @@ impl LinearQuadtree {
         if !morton::morton_grid_exact(&region) {
             return Err(FreezeError::RegionNotGridExact);
         }
-        let mut builder = LinearBuilder::default();
-        builder.reserve(tree.leaf_count(), tree.len());
+        let mut leaves: Vec<LeafEntry> = Vec::with_capacity(tree.leaf_count());
+        let mut blocks = Vec::with_capacity(tree.leaf_count());
+        let mut points = Vec::with_capacity(tree.len());
+        // The deepest leaf below the Morton resolution, if any: it cannot
+        // be given a unique code, so it gets no record and fails the
+        // freeze.
+        let mut too_deep: Option<u32> = None;
         tree.arena().for_each_leaf(&mut |block, depth, path, pts| {
-            builder.push_tree_leaf(path, *block, depth, pts)
+            if depth > morton::MORTON_BITS {
+                too_deep = Some(too_deep.map_or(depth, |d| d.max(depth)));
+                return;
+            }
+            // A depth-d leaf's path is its block's 2d-bit Morton prefix,
+            // so its first code, that of its low corner, is the path
+            // followed by zeros, and it spans 4^(MORTON_BITS − d) codes.
+            let code_lo = path << (2 * (morton::MORTON_BITS - depth));
+            debug_assert!(
+                leaves.last().is_none_or(|l| l.code_lo <= code_lo),
+                "leaves must arrive in ascending Morton order"
+            );
+            leaves.push(LeafEntry {
+                code_lo,
+                code_hi: code_lo + morton::cells_at_depth(depth),
+                depth,
+                points_start: points.len() as u32,
+                points_len: pts.len() as u32,
+            });
+            blocks.push(*block);
+            points.extend_from_slice(pts);
         });
-        LinearQuadtree::assemble(builder, region)
-    }
-
-    /// Finishes either freeze route: fails if any leaf was too deep,
-    /// otherwise moves the slabs in. Beyond a debug-build order check
-    /// the builder enforces nothing at push time;
-    /// [`LinearQuadtree::check_invariants`] and the differential suites
-    /// pin the two routes against each other.
-    pub(crate) fn assemble(builder: LinearBuilder, region: Rect) -> Result<Self, FreezeError> {
-        let LinearBuilder {
-            mut leaves,
-            mut blocks,
-            mut points,
-            too_deep,
-        } = builder;
         if let Some(depth) = too_deep {
             return Err(FreezeError::DepthExceedsMortonBits {
                 depth,
@@ -1334,6 +1280,19 @@ mod tests {
         linear.check_invariants();
         assert_eq!(linear.len(), 2);
         assert!(linear.contains(&Point2::new(step, 0.0)));
+        // Two points in one full-resolution cell never separate; with
+        // the depth limit at the Morton floor they spill into one leaf
+        // there, which still freezes.
+        let mut tree = PrQuadtree::with_max_depth(Rect::unit(), 1, morton::MORTON_BITS).unwrap();
+        tree.insert(Point2::new(0.5, 0.5)).unwrap();
+        tree.insert(Point2::new(0.5 + 1e-12, 0.5)).unwrap();
+        let linear = LinearQuadtree::from_tree(&tree).unwrap();
+        linear.check_invariants();
+        assert_eq!(linear.len(), 2);
+        assert_eq!(
+            linear.block_depth(&Point2::new(0.5, 0.5)),
+            Some(morton::MORTON_BITS)
+        );
     }
 
     #[test]

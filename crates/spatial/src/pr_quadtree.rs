@@ -123,17 +123,7 @@ impl PrQuadtree {
         capacity: usize,
         points: impl IntoIterator<Item = Point2>,
     ) -> Result<Self, TreeError> {
-        Self::build_with_max_depth(region, capacity, DEFAULT_MAX_DEPTH, points)
-    }
-
-    /// [`PrQuadtree::build`] with an explicit depth limit.
-    pub fn build_with_max_depth(
-        region: Rect,
-        capacity: usize,
-        max_depth: u32,
-        points: impl IntoIterator<Item = Point2>,
-    ) -> Result<Self, TreeError> {
-        let mut t = Self::with_max_depth(region, capacity, max_depth)?;
+        let mut t = Self::new(region, capacity)?;
         let pts = validate_points(&region, points)?;
         // Bulk construction: bit-identical to sequential inserts (see
         // `ArenaTree::bulk_fill`), but streams points level by level

@@ -8,15 +8,14 @@
 //! census rebuilt from a full traversal after *every* operation, and
 //! free-list reuse (remove-then-reinsert) must leave the traversal order
 //! unchanged. The bintree's bulk build is held to its own reference
-//! semantics (sequential insertion), and the direct points → linear
-//! freeze to the build + `from_tree` route.
+//! semantics (sequential insertion).
 
 use popan_geom::{Point2, Rect};
 use popan_proptest::prelude::*;
 use popan_spatial::reference::BoxedPrQuadtree;
 use popan_spatial::{
-    Bintree, DepthOccupancyTable, DirectFreezeError, LinearQuadtree, OccupancyCensus,
-    OccupancyInstrumented, OccupancyProfile, PrQuadtree,
+    Bintree, DepthOccupancyTable, OccupancyCensus, OccupancyInstrumented, OccupancyProfile,
+    PrQuadtree,
 };
 
 /// Asserts every observable of the arena tree against the boxed oracle.
@@ -63,12 +62,11 @@ fn arb_coords() -> impl Strategy<Value = Vec<(f64, f64)>> {
     popan_proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 0..120)
 }
 
-/// Point multisets slanted toward the bulk paths' hard cases: exact
+/// Point multisets slanted toward the bulk builds' hard cases: exact
 /// dyadic-grid collisions (coincident piles on split boundaries) and
 /// sub-quantum clusters (distinct points sharing one full-resolution
-/// Morton cell, which force max-depth spill leaves at capacity 1, leaves
-/// below the Morton resolution, and the direct freeze's pointer-tree
-/// fallback). Lengths 0 and 1 cover the empty/singleton edges.
+/// Morton cell, which force max-depth spill leaves at capacity 1).
+/// Lengths 0 and 1 cover the empty/singleton edges.
 fn arb_messy_points() -> impl Strategy<Value = Vec<Point2>> {
     popan_proptest::collection::vec((0u8..10, 0.0f64..1.0, 0.0f64..1.0, 0u8..8, 0u8..8), 0..140)
         .prop_map(|elems| {
@@ -128,33 +126,6 @@ proptest! {
         prop_assert_eq!(bulk.occupancy_profile(), seq.occupancy_profile());
         prop_assert_eq!(bulk.depth_table(), seq.depth_table());
         bulk.check_invariants();
-    }
-
-    #[test]
-    fn direct_freeze_matches_build_then_from_tree(
-        points in arb_messy_points(),
-        capacity in 1usize..6,
-        max_depth in 31u32..33,
-    ) {
-        // max_depth 31 spills sub-quantum clusters at the Morton floor;
-        // 32 pushes them one level below it, where both routes must
-        // refuse with the same depth.
-        let direct =
-            LinearQuadtree::from_points_direct(Rect::unit(), capacity, max_depth, points.clone());
-        let tree =
-            PrQuadtree::build_with_max_depth(Rect::unit(), capacity, max_depth, points).unwrap();
-        match (direct, LinearQuadtree::from_tree(&tree)) {
-            (Ok(direct), Ok(via_tree)) => {
-                direct.check_invariants();
-                prop_assert_eq!(direct.section_digests(), via_tree.section_digests());
-            }
-            (Err(DirectFreezeError::Freeze(direct)), Err(via_tree)) => {
-                prop_assert_eq!(direct, via_tree);
-            }
-            (direct, via_tree) => {
-                prop_assert!(false, "routes disagree: {:?} vs {:?}", direct.err(), via_tree.err());
-            }
-        }
     }
 
     #[test]

@@ -13,7 +13,9 @@
 # even pairs and the change in odd ones, so host drift falls on both
 # sides alike.
 #
-# Writes bench/pairs/LABEL-WORKLOAD.json in this repository:
+# Writes bench/pairs/LABEL-WORKLOAD.json in this repository, and exits 2
+# before the first run if that file exists, so a rerun under the same
+# label never replaces runs already on record. The file holds:
 #   * `host`: the `# perfbench` stamp line of each side's first run
 #     (available_parallelism, commit, threads);
 #   * `checkout`: each side's checkout `HEAD` and whether its working
@@ -44,6 +46,10 @@ WORKLOAD=$6 SECONDS_PER_RUN=$7 FIRST_SEED=$8 PAIRS=$9
 OUT_DIR="$(cd "$(dirname "$0")/.." && pwd)/bench/pairs"
 mkdir -p "$OUT_DIR"
 OUT="$OUT_DIR/$LABEL-$WORKLOAD.json"
+if [ -e "$OUT" ]; then
+  echo "bench_pairs: $OUT exists; choose a new LABEL" >&2
+  exit 2
+fi
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/popan-pairs.XXXXXX")
 trap 'rm -rf "$WORK"' EXIT
 

@@ -60,8 +60,7 @@ POPAN_THREADS=4 cargo test -q --offline -p popan-query
 # Morton-batched serving forms must be bit-identical to the serial
 # forms AND the full-scan oracle at every original query index, and a
 # POPAN_THREADS-wide pool of concurrent readers running the same batch
-# must agree byte-for-byte (the bottom-up build feeding these
-# snapshots is covered by the same run via Snapshot::from_points).
+# must agree byte-for-byte.
 POPAN_THREADS=1 cargo test -q --offline -p popan-query --test batch_equivalence
 POPAN_THREADS=4 cargo test -q --offline -p popan-query --test batch_equivalence
 # Serving-path chaos suite, named at both reader counts: scripted

@@ -7,8 +7,8 @@
 //!
 //! * snapshot range, count and k-NN answers are bit-identical to the
 //!   full-scan references `range_by_scan` / `knn_by_scan`, on a uniform
-//!   snapshot frozen straight from points and a clustered one frozen
-//!   from a PR quadtree, windows whose edges sit on block edges
+//!   snapshot made by `Snapshot::from_points` and a clustered one
+//!   frozen from a PR quadtree, windows whose edges sit on block edges
 //!   included;
 //! * the batch forms answer every query exactly as the serial forms do,
 //!   at its original index;
@@ -87,16 +87,17 @@ fn clustered_points() -> Vec<Point2> {
 }
 
 /// The two snapshots under test, each with the points it holds: the
-/// uniform one from the direct points → snapshot freeze, the clustered
-/// one from a PR quadtree.
+/// uniform one from `Snapshot::from_points`, the clustered one frozen
+/// from a PR quadtree built here.
 fn snapshots() -> Vec<(&'static str, Vec<Point2>, Snapshot)> {
     let uniform = uniform_points();
-    let direct = Snapshot::from_points(0, Rect::unit(), CAPACITY, uniform.iter().copied()).unwrap();
+    let from_points =
+        Snapshot::from_points(0, Rect::unit(), CAPACITY, uniform.iter().copied()).unwrap();
     let clustered = clustered_points();
     let tree = PrQuadtree::build(Rect::unit(), CAPACITY, clustered.iter().copied()).unwrap();
     let frozen = Snapshot::freeze(0, &tree).unwrap();
     vec![
-        ("uniform/from_points", uniform, direct),
+        ("uniform/from_points", uniform, from_points),
         ("clustered/freeze", clustered, frozen),
     ]
 }
