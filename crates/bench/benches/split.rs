@@ -2,8 +2,12 @@
 //! split-tree member whose build is comparison-based rather than
 //! coordinate-based) plus the SplitSpec model derivation itself.
 //!
-//! * `build_mary_b{3,8}`: a paper-scale build (10⁵ uniform keys) — the
-//!   insert path exercises pivot promotion and the incremental census;
+//! * `build_mary_b{3,8}`: a paper-scale bulk build (10⁵ uniform keys) by
+//!   stable partition;
+//! * `insert_loop_mary_b{3,8}`: the same tree from `new` plus one
+//!   `insert` per key — the incremental path (pivot promotion, census
+//!   updates), and the reference `build_mary_b{3,8}` is read against,
+//!   since only ratios within one run repeat on a shared host;
 //! * `census_mary_b8`: one census snapshot (occupancy profile +
 //!   depth-table reads + path-length totals), which must stay an O(m)
 //!   read of maintained state, never a traversal;
@@ -38,6 +42,15 @@ fn bench_split(c: &mut Criterion) {
                 MarySearchTree::build(b, black_box(keys.iter().copied()))
                     .unwrap()
                     .len()
+            })
+        });
+        group.bench_function(format!("insert_loop_mary_b{b}"), |bch| {
+            bch.iter(|| {
+                let mut tree = MarySearchTree::new(b).unwrap();
+                for &key in black_box(&keys) {
+                    tree.insert(key);
+                }
+                tree.len()
             })
         });
     }

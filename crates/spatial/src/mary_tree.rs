@@ -69,12 +69,20 @@ impl MarySearchTree {
     /// Creates an empty tree with branch factor `branch ≥ 2` (leaf
     /// capacity `branch − 1`).
     pub fn new(branch: usize) -> Result<Self, TreeError> {
+        let mut tree = Self::without_nodes(branch)?;
+        tree.add_leaves(1, 0);
+        Ok(tree)
+    }
+
+    /// A tree with no nodes and an empty census; `new` and `build` add
+    /// the root.
+    fn without_nodes(branch: usize) -> Result<Self, TreeError> {
         if branch < 2 {
             return Err(TreeError::InvalidParameter(
                 "branch factor must be at least 2".into(),
             ));
         }
-        let mut tree = MarySearchTree {
+        Ok(MarySearchTree {
             branch,
             nodes: Vec::new(),
             keys: Vec::new(),
@@ -82,18 +90,85 @@ impl MarySearchTree {
             len: 0,
             pivot_count: 0,
             pivot_path: 0,
-        };
-        tree.add_leaves(1, 0);
-        Ok(tree)
+        })
     }
 
-    /// Builds a tree by inserting `keys` in order.
+    /// Builds the tree that [`new`](Self::new) followed by
+    /// [`insert`](Self::insert) of each of `keys` in order gives, by
+    /// stable partition instead of one descent per key.
+    ///
+    /// Under inserts alone, the keys a node ever receives are the keys
+    /// routed to it, in arrival order, and that run decides the node: a
+    /// run of at most `b − 1` keys is a leaf holding them sorted; a
+    /// longer run's first `b − 1` keys, sorted, are its pivots, and the
+    /// rest go to its `b` children. So the build hands each node its
+    /// run. It counts the run's keys per child, prefix-sums the counts,
+    /// and scatters the run stably into the other of two work buffers;
+    /// the children read their runs there, with the buffers' roles
+    /// swapped, so no level copies back. Nodes are taken from an
+    /// explicit stack, because sorted or all-equal keys make a chain
+    /// `n/(b − 1)` deep.
+    ///
+    /// The keys, census, pivot count, path length and node count equal
+    /// the insert loop's. Only node ids differ: child blocks are
+    /// appended in pre-order of their parents rather than in split
+    /// order, so [`leaf_records`](Self::leaf_records) lists the leaves
+    /// in pre-order.
     pub fn build(branch: usize, keys: impl IntoIterator<Item = u64>) -> Result<Self, TreeError> {
-        let mut t = Self::new(branch)?;
-        for k in keys {
-            t.insert(k);
+        let mut tree = Self::without_nodes(branch)?;
+        let cap = branch - 1;
+        let mut run: Vec<u64> = keys.into_iter().collect();
+        let mut other = vec![0u64; run.len()];
+        let mut offsets = vec![0usize; branch + 1];
+        tree.len = run.len();
+        tree.add_nodes(1, 0);
+        // (node id, its run's bounds, whether the run sits in `other`)
+        let mut stack = vec![(0usize, 0usize, run.len(), false)];
+        while let Some((id, lo, hi, in_other)) = stack.pop() {
+            let (src, dst) = if in_other {
+                (&other[lo..hi], &mut run[lo..hi])
+            } else {
+                (&run[lo..hi], &mut other[lo..hi])
+            };
+            let depth = tree.nodes[id].depth;
+            let slots = &mut tree.keys[id * cap..][..cap];
+            if src.len() <= cap {
+                let held = &mut slots[..src.len()];
+                held.copy_from_slice(src);
+                held.sort_unstable();
+                tree.nodes[id].len = src.len() as u32;
+                tree.census.leaf_added(depth, src.len());
+                continue;
+            }
+            let (first, rest) = src.split_at(cap);
+            slots.copy_from_slice(first);
+            slots.sort_unstable();
+            let pivots = &*slots;
+            offsets.fill(0);
+            for &key in rest {
+                offsets[Self::route(pivots, key) + 1] += 1;
+            }
+            for c in 1..branch {
+                offsets[c] += offsets[c - 1];
+            }
+            let dst = &mut dst[cap..];
+            for &key in rest {
+                let at = &mut offsets[Self::route(pivots, key)];
+                dst[*at] = key;
+                *at += 1;
+            }
+            // `offsets[c]` is now where child c's run ends.
+            let base = tree.add_nodes(branch, depth + 1);
+            tree.nodes[id].len = cap as u32;
+            tree.nodes[id].children = base as u32;
+            tree.pivot_count += cap;
+            tree.pivot_path += u64::from(depth) * cap as u64;
+            for c in (0..branch).rev() {
+                let start = if c == 0 { 0 } else { offsets[c - 1] };
+                stack.push((base + c, lo + cap + start, lo + cap + offsets[c], !in_other));
+            }
         }
-        Ok(t)
+        Ok(tree)
     }
 
     /// Branch factor `b`.
@@ -132,13 +207,18 @@ impl MarySearchTree {
     }
 
     /// Child index for `key` among sorted `pivots`: equal keys go right.
+    /// A count rather than a binary search: there are at most `b − 1`
+    /// pivots, and the count compiles to compares without branches.
+    /// Always inlined, since `build` calls it twice per key per level.
+    #[inline(always)]
     fn route(pivots: &[u64], key: u64) -> usize {
-        pivots.partition_point(|&p| p <= key)
+        pivots.iter().filter(|&&p| p <= key).count()
     }
 
-    /// Appends `count` empty leaves at `depth`, each with its `b − 1`
-    /// slab slots, and returns the first one's id.
-    fn add_leaves(&mut self, count: usize, depth: u32) -> usize {
+    /// Appends `count` empty nodes at `depth`, each with its `b − 1`
+    /// slab slots, and returns the first one's id. The census is the
+    /// caller's to update.
+    fn add_nodes(&mut self, count: usize, depth: u32) -> usize {
         let base = self.nodes.len();
         let leaf = Node {
             depth,
@@ -147,6 +227,13 @@ impl MarySearchTree {
         };
         self.nodes.resize(base + count, leaf);
         self.keys.resize(self.nodes.len() * (self.branch - 1), 0);
+        base
+    }
+
+    /// Appends `count` empty leaves at `depth` and records them in the
+    /// census; returns the first one's id.
+    fn add_leaves(&mut self, count: usize, depth: u32) -> usize {
+        let base = self.add_nodes(count, depth);
         for _ in 0..count {
             self.census.leaf_added(depth, 0);
         }
@@ -557,8 +644,107 @@ mod tests {
 mod proptests {
     use super::*;
     use popan_proptest::prelude::*;
+    use popan_proptest::TestCaseError;
+
+    /// The reference `build` is held to: `new` plus one `insert` per key.
+    fn insert_loop(branch: usize, keys: &[u64]) -> MarySearchTree {
+        let mut t = MarySearchTree::new(branch).unwrap();
+        for &k in keys {
+            t.insert(k);
+        }
+        t
+    }
+
+    /// `built` and `inserted` agree on everything but node ids: census,
+    /// counts, path length, `expected_insertion_depth` bits, in-order
+    /// keys, membership of every key (and of its successor), and the
+    /// leaf records as a multiset.
+    fn same_tree(
+        built: &MarySearchTree,
+        inserted: &MarySearchTree,
+        keys: &[u64],
+    ) -> Result<(), TestCaseError> {
+        built.check_invariants();
+        prop_assert_eq!(&built.census, &inserted.census);
+        prop_assert_eq!(built.occupancy_profile(), inserted.occupancy_profile());
+        prop_assert_eq!(built.depth_table(), inserted.depth_table());
+        prop_assert_eq!(built.len(), inserted.len());
+        prop_assert_eq!(built.node_count(), inserted.node_count());
+        prop_assert_eq!(built.height(), inserted.height());
+        prop_assert_eq!(built.pivot_count(), inserted.pivot_count());
+        prop_assert_eq!(built.total_path_length(), inserted.total_path_length());
+        prop_assert_eq!(
+            built.expected_insertion_depth().to_bits(),
+            inserted.expected_insertion_depth().to_bits()
+        );
+        prop_assert_eq!(built.keys(), inserted.keys());
+        for &k in keys {
+            prop_assert!(built.contains(k));
+            let next = k.wrapping_add(1);
+            prop_assert_eq!(built.contains(next), inserted.contains(next));
+        }
+        let records = |t: &MarySearchTree| {
+            let mut r: Vec<(u32, usize)> = t
+                .leaf_records()
+                .iter()
+                .map(|r| (r.depth, r.occupancy))
+                .collect();
+            r.sort_unstable();
+            r
+        };
+        prop_assert_eq!(records(built), records(inserted));
+        Ok(())
+    }
+
+    #[test]
+    fn ascending_chain_builds_on_a_small_stack() {
+        // b = 2 over ascending keys is a chain 4,999 levels deep: a build
+        // that recursed once per level would overflow 256 KiB.
+        let keys: Vec<u64> = (0..5000).collect();
+        let built = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn({
+                let keys = keys.clone();
+                move || MarySearchTree::build(2, keys).unwrap()
+            })
+            .unwrap()
+            .join()
+            .expect("the build runs in constant stack");
+        assert_eq!(built.height(), 4999);
+        // Membership is probed at both ends and the middle: each probe
+        // walks the chain.
+        same_tree(&built, &insert_loop(2, &keys), &[0, 2500, 4999]).unwrap();
+    }
 
     proptest! {
+        #[test]
+        fn build_equals_the_insert_loop(
+            narrow in popan_proptest::collection::vec(0u64..16, 0..300),
+            wide in popan_proptest::collection::vec(any::<u64>(), 0..300),
+            branch in 2usize..=9,
+        ) {
+            let mut ascending = wide.clone();
+            ascending.sort_unstable();
+            for keys in [narrow, wide, ascending] {
+                let built = MarySearchTree::build(branch, keys.iter().copied()).unwrap();
+                same_tree(&built, &insert_loop(branch, &keys), &keys)?;
+            }
+        }
+
+        #[test]
+        fn inserts_after_a_build_equal_the_insert_loop(
+            keys in popan_proptest::collection::vec(0u64..500, 0..300),
+            cut in 0usize..=300,
+            branch in 2usize..=9,
+        ) {
+            let cut = cut.min(keys.len());
+            let mut t = MarySearchTree::build(branch, keys[..cut].iter().copied()).unwrap();
+            for &k in &keys[cut..] {
+                t.insert(k);
+            }
+            same_tree(&t, &insert_loop(branch, &keys), &keys)?;
+        }
+
         #[test]
         fn invariants_hold_under_arbitrary_insertions(
             keys in popan_proptest::collection::vec(0u64..1000, 1..200),

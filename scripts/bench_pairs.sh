@@ -2,27 +2,33 @@
 # Alternating parent/change pairs of perfbench runs, summarized per metric.
 #
 #   scripts/bench_pairs.sh LABEL PARENT_BIN PARENT_ROOT CHANGE_BIN CHANGE_ROOT \
-#       WORKLOAD SECONDS FIRST_SEED PAIRS
+#       WORKLOAD SECONDS FIRST_SEED PAIRS [TRACE]
 #
 # PARENT_BIN and CHANGE_BIN are prebuilt perfbench binaries
 # (`cargo build --release --manifest-path perfbench/Cargo.toml` in each
 # checkout, then copy `perfbench/target/release/popan-perfbench`). Each
 # runs from its own checkout root, since perfbench reads the repro
 # goldens and `.git/HEAD` from there. Pair i runs seed FIRST_SEED + i
-# on both sides, untraced, for SECONDS each; the parent goes first in
-# even pairs and the change in odd ones, so host drift falls on both
-# sides alike.
+# on both sides for SECONDS each; the parent goes first in even pairs
+# and the change in odd ones, so host drift falls on both sides alike.
 #
-# Writes bench/pairs/LABEL-WORKLOAD.json in this repository, and exits 2
-# before the first run if that file exists, so a rerun under the same
-# label never replaces runs already on record. The file holds:
+# TRACE is 0 (the default) or 1, passed to both sides as `--trace`.
+# Untraced runs print the end-to-end metrics; traced runs print the
+# per-layer ones (`spatial.*`, `query.*`, `experiments.*_s`, ...), so a
+# traced round shows which layer a change moved.
+#
+# Writes bench/pairs/LABEL-WORKLOAD.json in this repository
+# (LABEL-WORKLOAD-traced.json when TRACE is 1), and exits 2 before the
+# first run if that file exists, so a rerun under the same label never
+# replaces runs already on record. The file holds:
 #   * `host`: the `# perfbench` stamp line of each side's first run
 #     (available_parallelism, commit, threads);
 #   * `checkout`: each side's checkout `HEAD` and whether its working
 #     tree was dirty (`git status --porcelain` non-empty) before the
 #     runs. The stamp reads `.git/HEAD` only, so a run from a dirty
 #     tree carries the commit it was not built from;
-#   * `seeds`, and `first` (which side ran first in each pair);
+#   * `trace`, and `seeds`, and `first` (which side ran first in each
+#     pair);
 #   * `metrics`: for every `metric` line perfbench printed, each side's
 #     median and Q1–Q3 over the pairs, the per-pair ratio change ÷
 #     parent (median, min, max), and `wins`, the pairs the change read
@@ -36,16 +42,24 @@
 # binaries.
 set -euo pipefail
 
-if [ "$#" -ne 9 ]; then
-  sed -n '2,4p' "$0" >&2
+if [ "$#" -ne 9 ] && [ "$#" -ne 10 ]; then
+  sed -n '2,5p' "$0" >&2
   exit 2
 fi
 LABEL=$1 PARENT_BIN=$2 PARENT_ROOT=$3 CHANGE_BIN=$4 CHANGE_ROOT=$5
-WORKLOAD=$6 SECONDS_PER_RUN=$7 FIRST_SEED=$8 PAIRS=$9
+WORKLOAD=$6 SECONDS_PER_RUN=$7 FIRST_SEED=$8 PAIRS=$9 TRACE=${10:-0}
+case $TRACE in
+  0) SUFFIX="" ;;
+  1) SUFFIX="-traced" ;;
+  *)
+    echo "bench_pairs: TRACE must be 0 or 1, not $TRACE" >&2
+    exit 2
+    ;;
+esac
 
 OUT_DIR="$(cd "$(dirname "$0")/.." && pwd)/bench/pairs"
 mkdir -p "$OUT_DIR"
-OUT="$OUT_DIR/$LABEL-$WORKLOAD.json"
+OUT="$OUT_DIR/$LABEL-$WORKLOAD$SUFFIX.json"
 if [ -e "$OUT" ]; then
   echo "bench_pairs: $OUT exists; choose a new LABEL" >&2
   exit 2
@@ -56,7 +70,7 @@ trap 'rm -rf "$WORK"' EXIT
 run() { # side seed
   local bin root
   if [ "$1" = parent ]; then bin=$PARENT_BIN root=$PARENT_ROOT; else bin=$CHANGE_BIN root=$CHANGE_ROOT; fi
-  (cd "$root" && "$bin" --workload "$WORKLOAD" --seed "$2" --seconds "$SECONDS_PER_RUN" --trace 0) \
+  (cd "$root" && "$bin" --workload "$WORKLOAD" --seed "$2" --seconds "$SECONDS_PER_RUN" --trace "$TRACE") \
     > "$WORK/$1-$2.out"
   grep '^metric ' "$WORK/$1-$2.out" | awk -v s="$2" -v side="$1" '{print s "\t" side "\t" $2 "\t" $3 "\t" $4}' \
     >> "$WORK/metrics.tsv"
@@ -97,7 +111,7 @@ stamp() { head -n 1 "$WORK/$1-${seeds[0]}.out" | sed 's/"/\\"/g'; }
 
 {
   echo "{"
-  echo "  \"label\": \"$LABEL\", \"workload\": \"$WORKLOAD\", \"seconds\": $SECONDS_PER_RUN, \"pairs\": $PAIRS,"
+  echo "  \"label\": \"$LABEL\", \"workload\": \"$WORKLOAD\", \"seconds\": $SECONDS_PER_RUN, \"pairs\": $PAIRS, \"trace\": $TRACE,"
   echo "  \"host\": {\"parent\": \"$(stamp parent)\", \"change\": \"$(stamp change)\"},"
   echo "  \"checkout\": {\"parent\": $CHECKOUT_PARENT, \"change\": $CHECKOUT_CHANGE},"
   echo "  \"seeds\": [$(join_by "${seeds[@]}")],"

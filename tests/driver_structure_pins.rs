@@ -11,6 +11,11 @@
 //! * the m-ary search tree (`split` driver), `b ∈ {2, 3, 8}`: in-order
 //!   keys, leaf records, path length, expected insertion depth and node
 //!   count along a doubling ladder;
+//! * the bulk-built m-ary search tree (`split` driver's
+//!   `MarySearchTree::build`), `b ∈ {3, 8}` over the driver's ladder
+//!   `n = 1000·2^k`, `k = 0…6`: only outputs that do not depend on node
+//!   ids — every depth-table class count, pivot count, path length,
+//!   expected insertion depth, node count and in-order keys;
 //! * the PMR quadtree (`pmr` driver), thresholds `{1, 2, 4}`: leaf
 //!   records in traversal order, node count, and the answers for a
 //!   centre window and a 1/1024-wide strip on the x midline;
@@ -92,6 +97,33 @@ fn mary_search_trees_match_their_pin() {
         }
     }
     assert_pin("m-ary", h.finish(), 0xfedb_c6e4_834f_9575);
+}
+
+#[test]
+fn mary_search_tree_builds_match_their_pin() {
+    let mut h = Fnv64::new();
+    for branch in [3usize, 8] {
+        let runner = TrialRunner::new(0x5917 + branch as u64, 7);
+        for k in 0..=6 {
+            let n = 1000usize << k;
+            let keys = UniformKeys.sample_n(&mut runner.rng_for_trial(k), n);
+            let tree = MarySearchTree::build(branch, keys).unwrap();
+            let table = tree.depth_table();
+            for depth in 0..=table.max_depth().unwrap_or(0) {
+                for occupancy in 0..branch {
+                    h.write_u64(table.count(depth, occupancy));
+                }
+            }
+            h.write_u64(tree.pivot_count() as u64);
+            h.write_u64(tree.total_path_length());
+            h.write_f64(tree.expected_insertion_depth());
+            h.write_u64(tree.node_count() as u64);
+            for key in tree.keys() {
+                h.write_u64(key);
+            }
+        }
+    }
+    assert_pin("m-ary build", h.finish(), 0xeb57_76ae_2ad3_6567);
 }
 
 fn fold_segments(h: &mut Fnv64, segments: &[Segment2]) {
