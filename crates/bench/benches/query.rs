@@ -5,6 +5,8 @@
 //! * `freeze` / `serve_*`: single-thread costs — freezing a 10⁵-point
 //!   PR quadtree into a Morton-packed snapshot, and one range / count /
 //!   k-NN query through the zero-allocation serving forms.
+//!   `serve_{range,count,knn}_mix_1e5` answer one fixed 96-query slice
+//!   of the `readers_x*` load per iteration, one query kind per row.
 //! * `sort_{comparator,bucket}_*`: a range answer's canonical sort alone,
 //!   `sort_unstable_by(Point2::canonical_cmp)` against
 //!   `QueryScratch::sort_canonical` on the same inputs, at 10³ and 10⁴
@@ -41,6 +43,8 @@ const N: usize = 100_000;
 const BATCH_N: usize = 1_000_000;
 const CAPACITY: usize = 8;
 const LOAD: usize = 4096;
+/// Queries of one kind per iteration of a `serve_*_mix_1e5` row.
+const MIX: usize = 96;
 
 #[derive(Clone, Copy)]
 enum Query {
@@ -204,6 +208,47 @@ fn bench_query(c: &mut Criterion) {
             out.len()
         })
     });
+    // The load's square sides run 0.005–0.15 and its k 1..16, drawn
+    // like perfbench's mix: the single 0.05-side window above cuts few
+    // blocks and under-represents the walk a mixed load pays for.
+    let queries = Arc::new(load_queries());
+    let (mut ranges, mut counts, mut knns) = (Vec::new(), Vec::new(), Vec::new());
+    for q in queries.iter() {
+        match *q {
+            Query::Range(r) if ranges.len() < MIX => ranges.push(r),
+            Query::Count(r) if counts.len() < MIX => counts.push(r),
+            Query::Knn(t, k) if knns.len() < MIX => knns.push((t, k)),
+            _ => {}
+        }
+    }
+    group.bench_function("serve_range_mix_1e5", |b| {
+        b.iter(|| {
+            let mut hits = 0;
+            for r in &ranges {
+                snapshot.range_into(black_box(r), &mut scratch, &mut out);
+                hits += out.len();
+            }
+            hits
+        })
+    });
+    group.bench_function("serve_count_mix_1e5", |b| {
+        b.iter(|| {
+            counts
+                .iter()
+                .map(|r| snapshot.count_with(black_box(r), &mut scratch))
+                .sum::<usize>()
+        })
+    });
+    group.bench_function("serve_knn_mix_1e5", |b| {
+        b.iter(|| {
+            let mut found = 0;
+            for (t, k) in &knns {
+                snapshot.knn_into(black_box(t), *k, &mut scratch, &mut out);
+                found += out.len();
+            }
+            found
+        })
+    });
 
     // The sort alone. Each iteration copies the unsorted input into the
     // buffer it sorts, so both rows of a pair pay the same copy.
@@ -290,7 +335,6 @@ fn bench_query(c: &mut Criterion) {
     // Multi-reader load: the same 4096 queries at 1, 2 and 4 readers.
     // Bit-identity across reader counts is asserted before any timing.
     let publisher = SnapshotPublisher::new(snapshot);
-    let queries = Arc::new(load_queries());
     let reference = run_readers(&publisher, &queries, 1);
     for readers in [2usize, 4] {
         assert_eq!(

@@ -22,8 +22,9 @@
 //! * **One range walk.** Range and count, bounded or not, walk the
 //!   k-NN's implicit Morton hierarchy: a block inside the window is
 //!   copied (or counted off the flat offsets) as one slab range, a block
-//!   outside it is skipped, and only the leaves the window's edges cut
-//!   pay the per-point rectangle test. The bounded forms stop refining
+//!   outside it is skipped, and only the blocks the window's edges cut
+//!   pay the per-point rectangle test, filtered in one pass once they
+//!   hold at most [`SCAN_RUN`] points. The bounded forms stop refining
 //!   at [`RANGE_DECOMPOSE_DEPTH`] and charge leaf by leaf in slab order.
 //! * **Deterministic, nearest-first k-NN.** [`LinearQuadtree::k_nearest_into`]
 //!   returns the `k` nearest points under the canonical
@@ -84,8 +85,17 @@ impl std::error::Error for FreezeError {}
 
 /// Charge granularity of the bounded range walk: it stops refining a
 /// block the window's edges cut at this depth and charges every leaf
-/// under it. The unbounded forms refine down to single leaves.
+/// under it. The unbounded forms stop at any cut block of at most
+/// [`SCAN_RUN`] points instead.
 pub const RANGE_DECOMPOSE_DEPTH: u32 = 8;
+
+/// The unbounded range walk filters a block the window's edges cut in
+/// one pass, without splitting it, once it holds at most this many
+/// points. A block visit costs about as much as forty point tests, so
+/// a split, four visits, pays for itself only when the children it
+/// skips or takes whole hold a few hundred points. Fixed by a sweep
+/// over {16, 32, 64, 128, 256, 512} (DESIGN.md §10).
+pub const SCAN_RUN: usize = 256;
 
 /// Reusable buffers for the allocation-free query paths. One scratch per
 /// reader thread; contents are meaningless between calls. The range and
@@ -409,19 +419,30 @@ struct SlabBlock<'a> {
 
 impl<'a> SlabBlock<'a> {
     /// Calls `f` on the four children in quadrant (= Morton = slab)
-    /// order: rects by [`Rect::quadrants`], runs split off this run by
-    /// `partition_point` on `code_lo`. Only for blocks shallower than
+    /// order: rects by [`Rect::quadrants`], runs cut off the front of
+    /// this run. The leaves tile the Morton range, so a child whose
+    /// first leaf sits at the child's depth is that one leaf; any other
+    /// child but the last ends where [`leading_run`] finds the first
+    /// leaf past its codes, and the last child takes the rest. On an
+    /// undamaged slab these are exactly the `partition_point` runs on
+    /// `code_lo`. Only for blocks shallower than
     /// [`morton::MORTON_BITS`]. A callback, not a returned array: the
     /// array cost the k-NN ≈15% (10⁵ points, 2-vCPU x86-64 host).
     fn for_each_child(self, mut f: impl FnMut(SlabBlock<'a>)) {
-        let quarter = morton::cells_at_depth(self.depth + 1);
+        let depth = self.depth + 1;
+        let quarter = morton::cells_at_depth(depth);
         let mut rest = self.run;
         let mut code = self.code;
-        for rect in self.rect.quadrants() {
-            let (run, tail) = rest.split_at(rest.partition_point(|l| l.code_lo < code + quarter));
+        for (i, rect) in self.rect.quadrants().into_iter().enumerate() {
+            let len = match rest.first() {
+                _ if i == 3 => rest.len(),
+                Some(first) if first.depth == depth => 1,
+                _ => leading_run(rest, code + quarter),
+            };
+            let (run, tail) = rest.split_at_checked(len).unwrap_or((rest, &[]));
             f(SlabBlock {
                 rect,
-                depth: self.depth + 1,
+                depth,
                 code,
                 run,
             });
@@ -429,6 +450,21 @@ impl<'a> SlabBlock<'a> {
             code += quarter;
         }
     }
+}
+
+/// The number of leaves at the front of `run` whose `code_lo` is below
+/// `end`, by a galloping search from the front: probe leaves 1, 2, 4, …
+/// until one starts at or past `end`, then binary-search the last gap.
+/// It costs O(log answer) probes, so a child run of a few leaves is
+/// found without a search over its parent's whole run.
+fn leading_run(run: &[LeafEntry], end: u64) -> usize {
+    let mut probe = 1;
+    while probe < run.len() && run.get(probe).is_some_and(|l| l.code_lo < end) {
+        probe *= 2;
+    }
+    let from = probe / 2;
+    let gap = run.get(from..probe.min(run.len())).unwrap_or_default();
+    from + gap.partition_point(|l| l.code_lo < end)
 }
 
 /// A frozen, pointerless PR quadtree.
@@ -630,12 +666,15 @@ impl LinearQuadtree {
     /// Appends all stored points inside `query` to `out` (cleared
     /// first), in slab order: the order of [`LinearQuadtree::points`].
     ///
-    /// The walk is [`LinearQuadtree::range_descend`] down to single
-    /// leaves: a block inside `query` copies its leaf run's points as
-    /// one slice, and a boundary leaf is filtered through the half-open
-    /// [`Rect::contains`], so only the leaves the window's edges cut
-    /// pay a per-point test. The descent needs no buffers, so `scratch`
-    /// is unused. Allocation-free once `out` is warm.
+    /// The walk is [`LinearQuadtree::range_descend`]: a block inside
+    /// `query` copies its leaf run's points as one slice, and a block
+    /// the window's edges cut that is a single leaf or holds at most
+    /// [`SCAN_RUN`] points has its run filtered through the half-open
+    /// [`Rect::contains`] in one pass, so only the blocks along the
+    /// window's edges pay a per-point test. Every run is a contiguous
+    /// slab range and the runs come in slab order, so the answer is
+    /// `points()` filtered by `query`. The descent needs no buffers, so
+    /// `scratch` is unused. Allocation-free once `out` is warm.
     pub fn range_query_into(
         &self,
         query: &Rect,
@@ -646,7 +685,7 @@ impl LinearQuadtree {
         self.range_descend(
             self.root_block(),
             query,
-            morton::MORTON_BITS,
+            &|block| self.run_points(block.run).len() <= SCAN_RUN,
             &mut |run, whole| {
                 let points = self.run_points(run);
                 if whole {
@@ -669,13 +708,13 @@ impl LinearQuadtree {
     /// [`LinearQuadtree::range_query_into`]: a block inside `query` is
     /// counted off its run's slab offsets without touching its points,
     /// so a count costs the blocks along the window's edges plus the
-    /// points of the leaves they cut.
+    /// points of the cut blocks it filters.
     pub fn count_in_range_with(&self, query: &Rect, _scratch: &mut QueryScratch) -> usize {
         let mut count = 0usize;
         self.range_descend(
             self.root_block(),
             query,
-            morton::MORTON_BITS,
+            &|block| self.run_points(block.run).len() <= SCAN_RUN,
             &mut |run, whole| {
                 let points = self.run_points(run);
                 count += if whole {
@@ -691,14 +730,15 @@ impl LinearQuadtree {
     /// The one range walk, over the implicit Morton hierarchy the k-NN
     /// descends, children in quadrant (= Morton = slab) order. A block
     /// disjoint from `query` is skipped; one inside it hands its leaf
-    /// run to `visit` as `whole`; a single leaf, a block at depth `cut`
-    /// (≤ [`morton::MORTON_BITS`]) or a run that cannot split (only a
-    /// damaged slab has one) hands its run over to be filtered.
+    /// run to `visit` as `whole`; a single leaf, a block for which
+    /// `stop` holds, or a run that cannot split (at
+    /// [`morton::MORTON_BITS`]; only a damaged slab has one) hands its
+    /// run over to be filtered.
     fn range_descend(
         &self,
         block: SlabBlock<'_>,
         query: &Rect,
-        cut: u32,
+        stop: &impl Fn(&SlabBlock<'_>) -> bool,
         visit: &mut impl FnMut(&[LeafEntry], bool),
     ) {
         if !block.rect.overlaps(query) {
@@ -706,10 +746,10 @@ impl LinearQuadtree {
         }
         if query.contains_rect(&block.rect) {
             visit(block.run, true);
-        } else if block.run.len() <= 1 || block.depth >= cut {
+        } else if block.run.len() <= 1 || block.depth >= morton::MORTON_BITS || stop(&block) {
             visit(block.run, false);
         } else {
-            block.for_each_child(|child| self.range_descend(child, query, cut, visit));
+            block.for_each_child(|child| self.range_descend(child, query, stop, visit));
         }
     }
 
@@ -734,9 +774,10 @@ impl LinearQuadtree {
     /// The search is a depth-first branch-and-bound over the implicit
     /// Morton hierarchy of the leaf slab (the pointer tree's
     /// `k_nearest` on slab ranges): a block's four children are the
-    /// `code_lo` runs found by `partition_point`, their rects come from
-    /// [`Rect::quadrants`], and they are visited nearest first, in
-    /// `(min-distance², code)` order, skipping empty ones. The first
+    /// `code_lo` runs [`SlabBlock::for_each_child`] cuts off the front
+    /// of its run, their rects come from [`Rect::quadrants`], and they
+    /// are visited nearest first, in `(min-distance², code)` order,
+    /// skipping empty ones. The first
     /// child whose block cannot *strictly* beat the current k-th
     /// candidate ends the visit (strict, so equal-distance ties are
     /// still examined and resolved canonically). The answer is the top
@@ -853,7 +894,7 @@ impl LinearQuadtree {
         self.range_descend(
             self.root_block(),
             query,
-            RANGE_DECOMPOSE_DEPTH,
+            &|block| block.depth >= RANGE_DECOMPOSE_DEPTH,
             &mut |run, whole| {
                 for (leaf, block) in run.iter().zip(self.run_blocks(run)) {
                     let points = u64::from(leaf.points_len);
@@ -1221,7 +1262,7 @@ mod tests {
     use super::*;
     use popan_rng::rngs::StdRng;
     use popan_rng::SeedableRng;
-    use popan_workload::points::{PointSource, UniformRect};
+    use popan_workload::points::{Clustered, PointSource, UniformRect};
 
     fn build_pair(n: usize, capacity: usize, seed: u64) -> (PrQuadtree, LinearQuadtree) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1244,6 +1285,68 @@ mod tests {
     fn ranges_tile_the_space() {
         let (_, linear) = build_pair(500, 2, 1);
         linear.check_invariants();
+    }
+
+    #[test]
+    fn child_runs_are_the_partition_point_runs() {
+        // Every block a descent can split, on four snapshots: its four
+        // child runs (the depth shortcut, the gallop, the rest) must be
+        // the runs `partition_point` on `code_lo` cuts from its run.
+        fn walk(block: SlabBlock<'_>, split: &mut usize, deepest: &mut u32) {
+            *deepest = (*deepest).max(block.depth);
+            if block.run.len() <= 1 || block.depth >= morton::MORTON_BITS {
+                return;
+            }
+            *split += 1;
+            let quarter = morton::cells_at_depth(block.depth + 1);
+            let mut children = Vec::new();
+            block.for_each_child(|child| children.push(child));
+            assert_eq!(children.len(), 4);
+            let mut rest = block.run;
+            for (end, child) in (1..=4).map(|i| block.code + i * quarter).zip(&children) {
+                let (run, tail) = rest.split_at(rest.partition_point(|l| l.code_lo < end));
+                assert_eq!(
+                    (child.run.as_ptr(), child.run.len()),
+                    (run.as_ptr(), run.len()),
+                    "depth {} code {:#x}",
+                    block.depth,
+                    block.code
+                );
+                rest = tail;
+            }
+            assert!(rest.is_empty());
+            for child in children {
+                walk(child, split, deepest);
+            }
+        }
+        let fine = 0.5f64.powi(29);
+        let grid = (0..32u32).flat_map(|i| {
+            (0..32u32).map(move |j| {
+                Point2::new(
+                    0.5 + (f64::from(i) - 16.0) * fine,
+                    0.25 + (f64::from(j) - 16.0) * fine,
+                )
+            })
+        });
+        let mut rng = StdRng::seed_from_u64(23);
+        let clustered = Clustered::new(Rect::unit(), 8, 0.02, &mut rng).sample_n(&mut rng, 4000);
+        let snapshots = [
+            ("uniform m=1", build_pair(3000, 1, 21).1, 0),
+            ("uniform m=8", build_pair(20_000, 8, 22).1, 0),
+            ("clustered m=8", frozen(8, clustered), 0),
+            ("2^-29 grid m=1", frozen(1, grid.collect()), 29),
+        ];
+        for (label, linear, depth) in snapshots {
+            let (mut split, mut deepest) = (0, 0);
+            walk(linear.root_block(), &mut split, &mut deepest);
+            assert!(split > 100, "{label}: {split} blocks split");
+            assert!(deepest >= depth, "{label}: deepest block at {deepest}");
+        }
+    }
+
+    fn frozen(capacity: usize, points: Vec<Point2>) -> LinearQuadtree {
+        let tree = PrQuadtree::build(Rect::unit(), capacity, points).unwrap();
+        LinearQuadtree::from_tree(&tree).unwrap()
     }
 
     #[test]
@@ -1648,6 +1751,9 @@ mod tests {
 mod proptests {
     use super::*;
     use popan_proptest::prelude::*;
+    use popan_rng::rngs::StdRng;
+    use popan_rng::{Rng, SeedableRng};
+    use popan_workload::points::{PointSource, UniformRect};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
@@ -1675,6 +1781,7 @@ mod proptests {
                 0..150,
             ),
             capacity in 1usize..6,
+            deep in (0u8..5, 1usize..=2 * SCAN_RUN, any::<u64>()),
             window in (0u8..10, -0.25f64..1.0, -0.25f64..1.0, 0.001f64..0.6, 0.001f64..0.6),
             snap in (0u8..18, 0u8..18, 1u8..18, 1u8..18),
         ) {
@@ -1682,7 +1789,7 @@ mod proptests {
             // the dyadic lines i/8, and a 2^-29 cluster whose leaves sit
             // at depth 29.
             let fine = 0.5f64.powi(29);
-            let points: Vec<Point2> = raw
+            let mut points: Vec<Point2> = raw
                 .iter()
                 .map(|&(kind, x, y, i, j)| match kind {
                     0..=4 => Point2::new(x, y),
@@ -1693,6 +1800,27 @@ mod proptests {
                     ),
                 })
                 .collect();
+            // Most cases also put more than SCAN_RUN points under one
+            // block, so the walk must split the blocks a window cuts
+            // before it may filter them: a 2^-29 cluster inside one
+            // depth-25 block (split down to depth 29), dyadic duplicates
+            // inside one quadrant, leaves bigger than the cutoff
+            // (capacity above it), or one coincident pile.
+            let (shape, extra, seed) = deep;
+            let pile = SCAN_RUN + extra;
+            let rng = &mut StdRng::seed_from_u64(seed);
+            let on_grid = |rng: &mut StdRng, cells: u8, step: f64, x: f64, y: f64| {
+                let mut at = |o: f64| o + f64::from(rng.random_range(0..cells)) * step;
+                Point2::new(at(x), at(y))
+            };
+            let capacity = if shape == 3 { pile } else { capacity };
+            match shape {
+                1 => points.extend((0..pile).map(|_| on_grid(rng, 16, fine, 0.5, 0.25))),
+                2 => points.extend((0..pile).map(|_| on_grid(rng, 4, 0.125, 0.5, 0.5))),
+                3 => points.extend(UniformRect::unit().sample_n(rng, 3 * pile)),
+                4 => points.extend(std::iter::repeat_n(on_grid(rng, 8, 0.125, 0.0, 0.0), pile)),
+                _ => {}
+            }
             // Free windows, and windows whose edges sit on dyadic lines
             // (at 1/16, and at the cluster's 2^-29 spacing), so block
             // edges meet query edges exactly; all may stick out of the

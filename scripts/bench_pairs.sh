@@ -3,6 +3,7 @@
 #
 #   scripts/bench_pairs.sh LABEL PARENT_BIN PARENT_ROOT CHANGE_BIN CHANGE_ROOT \
 #       WORKLOAD SECONDS FIRST_SEED PAIRS [TRACE]
+#   scripts/bench_pairs.sh --summarize TSV
 #
 # PARENT_BIN and CHANGE_BIN are prebuilt perfbench binaries
 # (`cargo build --release --manifest-path perfbench/Cargo.toml` in each
@@ -34,16 +35,100 @@
 #     parent (median, min, max), and `wins`, the pairs the change read
 #     better in (higher is better for a `ratio` or `1/s` unit, such as
 #     `ok_frac` and `ops_per_s`, lower for every other; ties count for
-#     neither side);
+#     neither side), and for each end-to-end metric of BENCHMARK.json a
+#     `verdict` (below);
 #   * `same_digests_and_counters`: the pairs whose `digest` and
 #     `counter` lines were identical on both sides;
 #   * `runs`: every run's `metric` lines, keyed by seed and side.
 # Nothing under perfbench/ is read or written except through the two
 # binaries.
+#
+# The verdict applies the acceptance rule to the numbers above and to
+# the metric's `bound` in BENCHMARK.json, a fraction of the parent's
+# median, read from that file and nothing else. With P pairs, the
+# first rule that holds gives it:
+#   * `gain`: wins >= ceil(0.9 P), and the change's median is better
+#     than the parent's by more than the parent's Q3 - Q1;
+#   * `worse`: the change's median is worse than the parent's by more
+#     than bound x the parent's median;
+#   * `unresolved`: the parent's Q3 - Q1 exceeds bound x its median,
+#     and some change run does not beat every parent run;
+#   * `flat`: everything else.
+#
+# `--summarize TSV` prints that `metrics` object for a file of the
+# lines the pair runs collect, `seed<TAB>side<TAB>metric<TAB>value<TAB>unit`
+# with side `parent` or `change`, and runs nothing.
 set -euo pipefail
 
+ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+
+# Median and quartiles by linear interpolation between order statistics.
+quartiles() { # reads numbers on stdin, prints "q1 median q3"
+  sort -g | awk '{v[NR] = $1}
+    function q(p,   h, l) { h = 1 + p * (NR - 1); l = int(h); return v[l] + (h - l) * (v[l + 1 < NR ? l + 1 : NR] - v[l]) }
+    END { printf "%.6g %.6g %.6g", q(0.25), q(0.5), q(0.75) }'
+}
+
+summarize() { # tsv: prints the `metrics` object
+  local tsv=$1 metrics n_metrics k=0 m unit bound p1 pm p3 c1 cm c3 pairs higher_better wins n_pairs
+  local ratios rm rmin rmax all_better verdict sep
+  echo "{"
+  metrics=$(cut -f3 "$tsv" | awk '!seen[$0]++')
+  n_metrics=$(echo "$metrics" | wc -l)
+  for m in $metrics; do
+    k=$((k + 1))
+    unit=$(awk -F'\t' -v m="$m" '$3 == m {print $5; exit}' "$tsv")
+    bound=$(sed -n "s/.*\"name\": *\"$m\".*\"bound\": *\([0-9.eE+-]*\).*/\1/p" "$ROOT/BENCHMARK.json")
+    read -r p1 pm p3 <<< "$(awk -F'\t' -v m="$m" '$3 == m && $2 == "parent" {print $4}' "$tsv" | quartiles)"
+    read -r c1 cm c3 <<< "$(awk -F'\t' -v m="$m" '$3 == m && $2 == "change" {print $4}' "$tsv" | quartiles)"
+    # Per-pair ratio and wins, pairing the two sides by seed.
+    pairs=$(awk -F'\t' -v m="$m" '$3 == m {v[$1 "," $2] = $4; s[$1]}
+      END { for (k in s) if ((k ",parent") in v && (k ",change") in v) print v[k ",parent"], v[k ",change"] }' \
+      "$tsv")
+    higher_better=0
+    case $unit in ratio | 1/s) higher_better=1 ;; esac
+    wins=$(echo "$pairs" | awk -v hb="$higher_better" '(hb ? $2 > $1 : $2 < $1) {w++} END {print w + 0}')
+    n_pairs=$(echo "$pairs" | awk 'NF == 2 {n++} END {print n + 0}')
+    ratios=$(echo "$pairs" | awk '$1 != 0 {printf "%.6g\n", $2 / $1}')
+    if [ -n "$ratios" ]; then
+      read -r _ rm _ <<< "$(echo "$ratios" | quartiles)"
+      rmin=$(echo "$ratios" | sort -g | head -n 1)
+      rmax=$(echo "$ratios" | sort -g | tail -n 1)
+    else
+      rm=null rmin=null rmax=null
+    fi
+    verdict=""
+    if [ -n "$bound" ]; then
+      # 1 when every change run beats every parent run.
+      all_better=$(awk -F'\t' -v m="$m" -v hb="$higher_better" '$3 == m {
+          x = hb ? -$4 : $4
+          if ($2 == "parent" && (!p || x < pmin)) { pmin = x; p = 1 }
+          if ($2 == "change" && (!c || x > cmax)) { cmax = x; c = 1 }
+        } END { print (p && c && cmax < pmin) ? 1 : 0 }' "$tsv")
+      verdict=$(awk -v hb="$higher_better" -v wins="$wins" -v n="$n_pairs" -v b="$bound" -v all="$all_better" \
+        -v p1="$p1" -v pm="$pm" -v p3="$p3" -v cm="$cm" 'BEGIN {
+          better = hb ? cm - pm : pm - cm
+          if (n > 0 && wins >= int((9 * n + 9) / 10) && better > p3 - p1) print "gain"
+          else if (-better > b * pm) print "worse"
+          else if (p3 - p1 > b * pm && !all) print "unresolved"
+          else print "flat"
+        }')
+      verdict=", \"verdict\": \"$verdict\""
+    fi
+    sep=","
+    [ "$k" -eq "$n_metrics" ] && sep=""
+    printf '    "%s": {"unit": "%s", "parent": {"median": %s, "q1": %s, "q3": %s}, "change": {"median": %s, "q1": %s, "q3": %s}, "ratio": {"median": %s, "min": %s, "max": %s}, "wins": %s%s}%s\n' \
+      "$m" "$unit" "$pm" "$p1" "$p3" "$cm" "$c1" "$c3" "$rm" "$rmin" "$rmax" "$wins" "$verdict" "$sep"
+  done
+  echo "  }"
+}
+
+if [ "$#" -eq 2 ] && [ "$1" = --summarize ]; then
+  summarize "$2"
+  exit 0
+fi
 if [ "$#" -ne 9 ] && [ "$#" -ne 10 ]; then
-  sed -n '2,5p' "$0" >&2
+  sed -n '2,6p' "$0" >&2
   exit 2
 fi
 LABEL=$1 PARENT_BIN=$2 PARENT_ROOT=$3 CHANGE_BIN=$4 CHANGE_ROOT=$5
@@ -57,7 +142,7 @@ case $TRACE in
     ;;
 esac
 
-OUT_DIR="$(cd "$(dirname "$0")/.." && pwd)/bench/pairs"
+OUT_DIR="$ROOT/bench/pairs"
 mkdir -p "$OUT_DIR"
 OUT="$OUT_DIR/$LABEL-$WORKLOAD$SUFFIX.json"
 if [ -e "$OUT" ]; then
@@ -99,13 +184,6 @@ for ((i = 0; i < PAIRS; i++)); do
   fi
 done
 
-# Median and quartiles by linear interpolation between order statistics.
-quartiles() { # reads numbers on stdin, prints "q1 median q3"
-  sort -g | awk '{v[NR] = $1}
-    function q(p,   h, l) { h = 1 + p * (NR - 1); l = int(h); return v[l] + (h - l) * (v[l + 1 < NR ? l + 1 : NR] - v[l]) }
-    END { printf "%.6g %.6g %.6g", q(0.25), q(0.5), q(0.75) }'
-}
-
 join_by() { local IFS=,; echo "$*"; }
 stamp() { head -n 1 "$WORK/$1-${seeds[0]}.out" | sed 's/"/\\"/g'; }
 
@@ -117,36 +195,7 @@ stamp() { head -n 1 "$WORK/$1-${seeds[0]}.out" | sed 's/"/\\"/g'; }
   echo "  \"seeds\": [$(join_by "${seeds[@]}")],"
   echo "  \"first\": [$(join_by "${firsts[@]}")],"
   echo "  \"same_digests_and_counters\": $same,"
-  echo "  \"metrics\": {"
-  metrics=$(cut -f3 "$WORK/metrics.tsv" | awk '!seen[$0]++')
-  n_metrics=$(echo "$metrics" | wc -l)
-  k=0
-  for m in $metrics; do
-    k=$((k + 1))
-    unit=$(awk -F'\t' -v m="$m" '$3 == m {print $5; exit}' "$WORK/metrics.tsv")
-    read -r p1 pm p3 <<< "$(awk -F'\t' -v m="$m" '$3 == m && $2 == "parent" {print $4}' "$WORK/metrics.tsv" | quartiles)"
-    read -r c1 cm c3 <<< "$(awk -F'\t' -v m="$m" '$3 == m && $2 == "change" {print $4}' "$WORK/metrics.tsv" | quartiles)"
-    # Per-pair ratio and wins, pairing the two sides by seed.
-    pairs=$(awk -F'\t' -v m="$m" '$3 == m {v[$1 "," $2] = $4; s[$1]}
-      END { for (k in s) if ((k ",parent") in v && (k ",change") in v) print v[k ",parent"], v[k ",change"] }' \
-      "$WORK/metrics.tsv")
-    higher_better=0
-    case $unit in ratio | 1/s) higher_better=1 ;; esac
-    wins=$(echo "$pairs" | awk -v hb="$higher_better" '(hb ? $2 > $1 : $2 < $1) {w++} END {print w + 0}')
-    ratios=$(echo "$pairs" | awk '$1 != 0 {printf "%.6g\n", $2 / $1}')
-    if [ -n "$ratios" ]; then
-      read -r _ rm _ <<< "$(echo "$ratios" | quartiles)"
-      rmin=$(echo "$ratios" | sort -g | head -n 1)
-      rmax=$(echo "$ratios" | sort -g | tail -n 1)
-    else
-      rm=null rmin=null rmax=null
-    fi
-    sep=","
-    [ "$k" -eq "$n_metrics" ] && sep=""
-    printf '    "%s": {"unit": "%s", "parent": {"median": %s, "q1": %s, "q3": %s}, "change": {"median": %s, "q1": %s, "q3": %s}, "ratio": {"median": %s, "min": %s, "max": %s}, "wins": %s}%s\n' \
-      "$m" "$unit" "$pm" "$p1" "$p3" "$cm" "$c1" "$c3" "$rm" "$rmin" "$rmax" "$wins" "$sep"
-  done
-  echo "  },"
+  echo "  \"metrics\": $(summarize "$WORK/metrics.tsv"),"
   echo "  \"runs\": ["
   for ((i = 0; i < PAIRS; i++)); do
     for side in parent change; do

@@ -37,6 +37,19 @@ else
   echo "verify: NOTICE — clippy unavailable, skipping cargo clippy" >&2
 fi
 
+# The pair summary's acceptance rule (scripts/bench_pairs.sh), on a
+# fixture whose verdicts are known: one end-to-end metric per verdict,
+# op_p50_us a median gain with too few wins to count, and a per-layer
+# metric that gets no verdict.
+verdicts=$(scripts/bench_pairs.sh --summarize scripts/fixtures/pair_verdicts.tsv |
+  sed -n 's/^ *"\([^"]*\)": {.*"verdict": "\([a-z]*\)"}.*/\1 \2/p')
+[ "$verdicts" = "setup_s unresolved
+op_p50_us flat
+op_p99_us worse
+pass_s gain
+ok_frac worse" ] || {
+  echo "verify: bench_pairs.sh --summarize gave the wrong verdicts on the fixture: $verdicts" >&2; exit 1; }
+
 cargo build --release --offline --workspace
 # The whole suite runs twice: once forced sequential, once on four
 # engine workers. The experiment engine's contract is that the two are
