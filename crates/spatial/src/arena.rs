@@ -21,16 +21,30 @@
 //!   shared `Vec` arena on overflow — which only coincident piles and
 //!   max-depth leaves can reach (a spilled leaf stays spilled until the
 //!   buffer is freed, so no points move back and forth on the boundary).
+//!   Freed buffers are reused before the slab grows.
+//!
+//! # One subtree builder
+//!
+//! A PR tree is a function of its point multiset, so every change of
+//! shape is a rebuild of one block from its points: [`ArenaTree::rebuild`]
+//! decides the block leaf or split by the PR rule, and for a split
+//! [`ArenaTree::bulk_rec`] partitions the points stably among the
+//! children and decides each of them in turn. Its three callers hand it
+//! the block's points in insertion order: the bulk build (the root and
+//! every point), an insert that overflows a leaf (the leaf's points with
+//! the new one last) and a remove that leaves a node mergeable (the
+//! children's points in child order, which come back as one leaf).
 //!
 //! # Bit-identity with the boxed implementation
 //!
 //! Traversal ([`ArenaTree::for_each_leaf`]) is pre-order by child *index*,
 //! never by physical slot id, so free-list reuse cannot affect observable
 //! order. Within a leaf, `push` appends and `swap_remove` replicates
-//! `Vec::swap_remove`, and split/collapse redistribute and merge in the
-//! exact order of the boxed code — `reference::BoxedPrQuadtree` is kept as
-//! the oracle and the equivalence proptests assert bit-identical
-//! `leaf_records()` after arbitrary insert/remove interleavings.
+//! `Vec::swap_remove`, and the rebuilds hand the builder points in the
+//! order the boxed code redistributes and merges them in —
+//! `reference::BoxedPrQuadtree` is kept as the oracle and the equivalence
+//! proptests assert bit-identical `leaf_records()` after arbitrary
+//! insert/remove interleavings.
 
 use crate::node_stats::{LeafRecord, OccupancyCensus};
 use popan_geom::{Aabb3, BoxN, Half, Octant, Point2, Point3, PointN, Quadrant, Rect};
@@ -38,9 +52,9 @@ use popan_geom::{Aabb3, BoxN, Half, Octant, Point2, Point3, PointN, Quadrant, Re
 /// Sentinel for "no spill vector attached".
 const NO_SPILL: u32 = u32::MAX;
 
-/// Largest branching factor the bulk-build stack arrays accommodate
-/// (`2^6` covers every tree the workspace instantiates); wider schemes
-/// fall back to sequential insertion.
+/// Largest branching factor the partition's stack arrays accommodate
+/// (`2^6`, a 6-dimensional PR tree); [`ArenaTree::new`] rejects a wider
+/// scheme at compile time.
 const MAX_BULK_BRANCHING: usize = 64;
 
 /// A regular decomposition scheme: how a block splits into `BRANCHING`
@@ -294,27 +308,27 @@ impl<P: Copy + Default + PartialEq> LeafPool<P> {
         }
     }
 
-    /// Appends a new buffer holding `pts` in order, the state pushing
-    /// them one by one into a fresh buffer reaches. A run that fits the
-    /// stride is one slice copy into the new slab segment; a longer one
-    /// (a coincident pile or a max-depth leaf) spills through
-    /// [`LeafPool::push`]. Buffers come out in call order.
+    /// Allocates a buffer ([`LeafPool::alloc`]) holding `pts` in order,
+    /// the state pushing them one by one into an empty buffer reaches. A
+    /// run that fits the stride is one slice copy into the buffer's slab
+    /// segment; a longer one (a coincident pile or a max-depth leaf)
+    /// spills through [`LeafPool::push`].
     fn alloc_filled(&mut self, pts: &[P]) -> u32 {
-        let id = self.bufs.len() as u32;
-        let end = self.slab.len() + self.stride;
-        let (copied, spilled) = if pts.len() <= self.stride {
-            (pts, &[][..])
+        let id = self.alloc();
+        let start = id as usize * self.stride;
+        let segment = if pts.len() <= self.stride {
+            self.slab.get_mut(start..start + pts.len())
         } else {
-            (&[][..], pts)
+            None
         };
-        self.slab.extend_from_slice(copied);
-        self.slab.resize(end, P::default());
-        self.bufs.push(LeafBuf {
-            len: copied.len() as u32,
-            spill: NO_SPILL,
-        });
-        for &p in spilled {
-            self.push(id, p);
+        if let (Some(dst), Some(buf)) = (segment, self.bufs.get_mut(id as usize)) {
+            dst.copy_from_slice(pts);
+            buf.len = pts.len() as u32;
+        } else {
+            for &p in pts {
+                // popan-lint: allow(Q2, "serving reaches this only by the bare-name edge knn_scan_leaf -> ArenaTree::insert, which is Vec::insert on its best list")
+                self.push(id, p);
+            }
         }
         id
     }
@@ -409,16 +423,6 @@ impl<P: Copy + Default + PartialEq> LeafPool<P> {
         self.free.push(id);
     }
 
-    /// Whether every stored point equals the first (the trees'
-    /// coincident-pile exception). Empty buffers are trivially coincident.
-    fn all_coincident(&self, id: u32) -> bool {
-        let pts = self.points(id);
-        match pts.first() {
-            Some(&first) => pts.iter().all(|q| *q == first),
-            None => true,
-        }
-    }
-
     /// Number of live (allocated, not freed) buffers.
     fn live_bufs(&self) -> usize {
         self.bufs.len() - self.free.len()
@@ -433,8 +437,10 @@ pub(crate) struct ArenaTree<D: Decomposition> {
     free_blocks: Vec<u32>,
     leaves: LeafPool<D::Point>,
     census: OccupancyCensus,
+    /// The run an insert or a remove rebuilds a block from.
     scratch: Vec<D::Point>,
-    split_scratch: Vec<D::Point>,
+    /// The work area [`ArenaTree::rebuild`] partitions a run into.
+    work: Vec<D::Point>,
     region: D::Block,
     capacity: usize,
     max_depth: u32,
@@ -447,10 +453,10 @@ pub(crate) const ROOT: u32 = 0;
 impl<D: Decomposition> ArenaTree<D> {
     /// An empty tree: one empty root leaf (counted by the census).
     pub(crate) fn new(region: D::Block, capacity: usize, max_depth: u32) -> Self {
+        const { assert!(D::BRANCHING <= MAX_BULK_BRANCHING) };
         debug_assert!(capacity >= 1, "wrappers validate capacity");
         // Stride `capacity + 1`: room for a full leaf plus the one
-        // transient over-capacity point a cascading split hands a child
-        // before splitting it in turn.
+        // over-capacity point an insert pushes before the leaf splits.
         let mut leaves = LeafPool::new(capacity + 1);
         let root_buf = leaves.alloc();
         let mut census = OccupancyCensus::new();
@@ -461,7 +467,7 @@ impl<D: Decomposition> ArenaTree<D> {
             leaves,
             census,
             scratch: Vec::new(),
-            split_scratch: Vec::new(),
+            work: Vec::new(),
             region,
             capacity,
             max_depth,
@@ -525,20 +531,18 @@ impl<D: Decomposition> ArenaTree<D> {
                 }
                 Slot::Leaf(buf) => {
                     let old = self.leaves.len(buf);
-                    if old + 1 > self.capacity
-                        && depth < self.max_depth
-                        && !self.coincident_with(buf, &p)
-                    {
-                        // Split-before-push fast path: the leaf's points
-                        // plus `p` go straight to the children (existing
-                        // points in order, `p` last — exactly the order
-                        // the boxed push-then-split redistributes in),
-                        // skipping the push into a buffer that is about
-                        // to be dismantled anyway.
-                        self.split_leaf_with(slot, block, depth, Some(p));
-                    } else {
-                        self.leaves.push(buf, p);
+                    self.leaves.push(buf, p);
+                    if self.is_leaf(depth, self.leaves.points(buf)) {
                         self.census.occupancy_changed(depth, old, old + 1);
+                    } else {
+                        // Push, then split, as the boxed tree does: the
+                        // leaf's points with `p` last become the block's
+                        // subtree.
+                        let mut run = std::mem::take(&mut self.scratch);
+                        self.leaves.take_into(buf, &mut run);
+                        self.census.leaf_removed(depth, old);
+                        self.rebuild(slot, block, depth, &mut run);
+                        self.scratch = run;
                     }
                     break;
                 }
@@ -547,16 +551,20 @@ impl<D: Decomposition> ArenaTree<D> {
         self.len += 1;
     }
 
-    /// Whether every point in the buffer equals `p` (so pushing `p`
-    /// would leave a coincident pile). Equivalent to pushing `p` and
-    /// asking [`LeafPool::all_coincident`]; empty buffers qualify.
-    fn coincident_with(&self, buf: u32, p: &D::Point) -> bool {
-        self.leaves.points(buf).iter().all(|q| q == p)
+    /// The PR rule: a block at `depth` holding `pts` is a leaf when the
+    /// points fit, when `max_depth` allows no split, or when they all
+    /// coincide (no split separates them).
+    fn is_leaf(&self, depth: u32, pts: &[D::Point]) -> bool {
+        pts.len() <= self.capacity
+            || depth >= self.max_depth
+            || pts
+                .split_first()
+                .is_none_or(|(first, rest)| rest.iter().all(|q| q == first))
     }
 
     /// Fills an empty tree from an insertion-order point vector in one
     /// top-down pass, producing a tree bit-identical to inserting the
-    /// points sequentially.
+    /// points sequentially: the root's block rebuilt from every point.
     ///
     /// Identity holds because insert-only construction is order
     /// independent: subtree populations only grow, so a block ends up
@@ -564,17 +572,14 @@ impl<D: Decomposition> ArenaTree<D> {
     /// not all coincident, and `max_depth` allows a split — a pure
     /// function of the point multiset. Within a leaf, sequential inserts
     /// keep points in insertion order (redistribution scans in order and
-    /// appends), which the *stable* partition below reproduces. The
-    /// payoff is the access pattern: instead of an O(depth) pointer walk
-    /// per point, every level streams a contiguous range of points once,
-    /// classifying against one precomputed splitter per node.
+    /// appends), which the *stable* partition of
+    /// [`ArenaTree::bulk_rec`] reproduces. The payoff is the access
+    /// pattern: instead of an O(depth) pointer walk per point, every
+    /// level streams a contiguous range of points once, classifying
+    /// against one precomputed splitter per node.
     ///
-    /// Each block is decided leaf or split before anything is allocated
-    /// for it (DESIGN.md §9): a leaf gets one buffer, filled by one slice
-    /// copy, and one census record; a split gets a bare slot block. The
-    /// build starts from a blank leaf pool and census, so the leaf
-    /// buffers come out in pre-order and no buffer or census record is
-    /// made only to be undone.
+    /// The empty root leaf's buffer is the first one the build takes
+    /// back, so a fresh tree's leaf buffers come out in pre-order.
     ///
     /// # Panics
     ///
@@ -583,38 +588,55 @@ impl<D: Decomposition> ArenaTree<D> {
     /// census and silently corrupt every occupancy read downstream, so
     /// the precondition is enforced unconditionally (the public wrappers
     /// only call this on freshly constructed trees).
-    pub(crate) fn bulk_fill(&mut self, points: Vec<D::Point>) {
+    pub(crate) fn bulk_fill(&mut self, mut points: Vec<D::Point>) {
         assert!(self.is_empty(), "bulk_fill requires an empty tree");
-        if D::BRANCHING > MAX_BULK_BRANCHING {
-            // Off the stack-array fast path (only reachable for PR trees
-            // of dimension > 6); semantics are identical either way.
-            for p in points {
-                self.insert(p);
-            }
-            return;
+        // An empty tree is one empty root leaf (removes collapse every
+        // mergeable node), which the rebuild replaces.
+        if let Some(&Slot::Leaf(root)) = self.slots.get(ROOT as usize) {
+            self.leaves.free(root);
         }
-        let n = points.len();
-        if n == 0 {
-            return;
-        }
-        // An empty tree is one empty root leaf; the build records every
-        // leaf itself, the root's replacement included.
-        self.leaves = LeafPool::new(self.leaves.stride);
-        self.census = OccupancyCensus::new();
-        let mut pts = points;
-        let mut scratch = vec![D::Point::default(); n];
-        self.len = n;
-        let region = self.region;
-        self.bulk_rec(ROOT, region, 0, &mut pts, &mut scratch);
+        self.census.leaf_removed(0, 0);
+        self.len = points.len();
+        self.rebuild(ROOT, self.region, 0, &mut points);
+        // The work area grew to the whole input; keep none of it.
+        self.work = Vec::new();
     }
 
-    /// Recursive step of [`ArenaTree::bulk_fill`]: `pts` is the
-    /// insertion-order run of points belonging to `block`, `work` an
-    /// equally sized work area, and `slot` the slot the block's node goes
-    /// in. A split partitions `pts` into `work` and hands each child its
-    /// run there, with the matching stretch of `pts` as its work area, so
-    /// the two buffers alternate level by level and nothing is copied
-    /// back.
+    /// Builds the subtree of `block`, at `slot` and `depth`, from `run`:
+    /// the block's points in insertion order, with the block's old node
+    /// already taken out of the leaf pool and the census. A run that
+    /// makes a leaf goes straight to its buffer; only a split sizes the
+    /// reused work area.
+    fn rebuild(&mut self, slot: u32, block: D::Block, depth: u32, run: &mut [D::Point]) {
+        if self.is_leaf(depth, run) {
+            self.place_leaf(slot, depth, run);
+            return;
+        }
+        let mut work = std::mem::take(&mut self.work);
+        work.resize(run.len(), D::Point::default());
+        self.bulk_rec(slot, block, depth, run, &mut work);
+        self.work = work;
+    }
+
+    /// Makes `slot` a leaf at `depth` holding `pts`: one buffer, filled
+    /// by one slice copy, and one census record.
+    fn place_leaf(&mut self, slot: u32, depth: u32, pts: &[D::Point]) {
+        self.census.leaf_added(depth, pts.len());
+        let buf = self.leaves.alloc_filled(pts);
+        if let Some(s) = self.slots.get_mut(slot as usize) {
+            *s = Slot::Leaf(buf);
+        }
+    }
+
+    /// The arena's one subtree builder, behind [`ArenaTree::rebuild`]:
+    /// splits `block`, at `slot` and `depth`, over `pts`, its points in
+    /// insertion order, with `work` an equally sized work area. The
+    /// split gets a bare slot block and partitions `pts` into `work`;
+    /// each child run there is placed as a leaf or split in turn, with
+    /// the matching stretch of `pts` as its work area, so the two
+    /// buffers alternate level by level and nothing is copied back.
+    /// Nothing is allocated for a block before it is decided leaf or
+    /// split (DESIGN.md §9).
     fn bulk_rec(
         &mut self,
         slot: u32,
@@ -623,27 +645,15 @@ impl<D: Decomposition> ArenaTree<D> {
         pts: &mut [D::Point],
         work: &mut [D::Point],
     ) {
-        let make_leaf = pts.len() <= self.capacity
-            || depth >= self.max_depth
-            || pts
-                .split_first()
-                .is_none_or(|(first, rest)| rest.iter().all(|q| q == first));
-        let node = if make_leaf {
-            self.census.leaf_added(depth, pts.len());
-            Slot::Leaf(self.leaves.alloc_filled(pts))
-        } else {
-            Slot::Internal(self.alloc_block_bare())
-        };
+        let base = self.alloc_block_bare();
         if let Some(s) = self.slots.get_mut(slot as usize) {
-            *s = node;
+            *s = Slot::Internal(base);
         }
-        let Slot::Internal(base) = node else {
-            return;
-        };
 
         // Stable partition of the run into child runs: count, prefix-sum,
         // scatter into the work area. Two streaming classify passes, no
-        // per-point midpoint math.
+        // per-point midpoint math. The scatter moves each child's offset
+        // from its run's start to its end, the next run's start.
         let splitter = D::splitter(&block, depth);
         let mut offs = [0usize; MAX_BULK_BRANCHING + 1];
         for p in pts.iter() {
@@ -652,13 +662,12 @@ impl<D: Decomposition> ArenaTree<D> {
             }
         }
         let mut sum = 0;
-        for off in offs.iter_mut().take(D::BRANCHING + 1) {
+        for off in offs.iter_mut().take(D::BRANCHING) {
             sum += *off;
             *off = sum;
         }
-        let mut cursors = offs;
         for &p in pts.iter() {
-            let Some(cursor) = cursors.get_mut(D::classify(&splitter, depth, &p)) else {
+            let Some(cursor) = offs.get_mut(D::classify(&splitter, depth, &p)) else {
                 continue;
             };
             if let Some(dst) = work.get_mut(*cursor) {
@@ -667,92 +676,27 @@ impl<D: Decomposition> ArenaTree<D> {
             *cursor += 1;
         }
 
-        for (i, bounds) in offs.windows(2).take(D::BRANCHING).enumerate() {
-            let &[lo, hi] = bounds else {
-                continue;
-            };
+        let mut lo = 0;
+        for (i, &hi) in offs.iter().take(D::BRANCHING).enumerate() {
             let (Some(run), Some(child_work)) = (work.get_mut(lo..hi), pts.get_mut(lo..hi)) else {
                 continue;
             };
-            let child_block = D::child_block(&block, depth, i);
-            self.bulk_rec(base + i as u32, child_block, depth + 1, run, child_work);
-        }
-    }
-
-    /// Converts an over-full leaf into an internal node, redistributing
-    /// points and splitting children recursively while they overflow.
-    /// Redistribution preserves point order and children split in index
-    /// order, mirroring the boxed implementation exactly.
-    fn split_leaf(&mut self, slot: u32, block: D::Block, depth: u32) {
-        self.split_leaf_with(slot, block, depth, None);
-    }
-
-    /// [`ArenaTree::split_leaf`], with an optional in-flight point that
-    /// joins the redistribution after the stored ones (the insert fast
-    /// path hands over the point that triggered the split instead of
-    /// pushing it into the doomed leaf first).
-    fn split_leaf_with(&mut self, slot: u32, block: D::Block, depth: u32, extra: Option<D::Point>) {
-        let Slot::Leaf(buf) = self.slots[slot as usize] else {
-            unreachable!("split_leaf called on internal node");
-        };
-        let n = self.leaves.len(buf);
-        // The scratch is recycled across splits; redistribution finishes
-        // before the recursive child splits below, so handing it back
-        // early lets the recursion reuse the same buffer.
-        let mut taken = std::mem::take(&mut self.split_scratch);
-        self.leaves.take_into(buf, &mut taken);
-        self.census.leaf_removed(depth, n);
-
-        let base = self.alloc_block();
-        self.slots[slot as usize] = Slot::Internal(base);
-        // One splitter for the whole redistribution: classifying a point
-        // is then pure comparisons, with no per-point midpoint math.
-        let splitter = D::splitter(&block, depth);
-        for &p in taken.iter().chain(extra.iter()) {
-            let i = D::classify(&splitter, depth, &p);
-            let Slot::Leaf(child_buf) = self.slots[base as usize + i] else {
-                unreachable!("fresh block slots are leaves");
-            };
-            self.leaves.push(child_buf, p);
-        }
-        taken.clear();
-        self.split_scratch = taken;
-        for i in 0..D::BRANCHING {
-            let Slot::Leaf(child_buf) = self.slots[base as usize + i] else {
-                unreachable!()
-            };
-            self.census
-                .leaf_added(depth + 1, self.leaves.len(child_buf));
-        }
-        for i in 0..D::BRANCHING {
-            let Slot::Leaf(child_buf) = self.slots[base as usize + i] else {
-                unreachable!()
-            };
-            if self.leaves.len(child_buf) > self.capacity
-                && depth + 1 < self.max_depth
-                && !self.leaves.all_coincident(child_buf)
-            {
+            lo = hi;
+            let child = base + i as u32;
+            if self.is_leaf(depth + 1, run) {
+                self.place_leaf(child, depth + 1, run);
+            } else {
                 let child_block = D::child_block(&block, depth, i);
-                self.split_leaf(base + i as u32, child_block, depth + 1);
+                self.bulk_rec(child, child_block, depth + 1, run, child_work);
             }
         }
     }
 
-    /// Allocates `BRANCHING` contiguous child slots (reusing a freed
-    /// block when possible), each initialized to a fresh empty leaf.
-    fn alloc_block(&mut self) -> u32 {
-        let base = self.alloc_block_bare();
-        for i in 0..D::BRANCHING {
-            let buf = self.leaves.alloc();
-            self.slots[base as usize + i] = Slot::Leaf(buf);
-        }
-        base
-    }
-
     /// Allocates `BRANCHING` contiguous child slots *without* leaf
-    /// buffers. Its callers, [`ArenaTree::alloc_block`] and the bulk
-    /// build, write every slot of the block before the tree is used —
-    /// the placeholder is never a live node.
+    /// buffers (reusing a freed block when possible). Only
+    /// [`ArenaTree::bulk_rec`] calls it, and it writes every slot of the
+    /// block before the tree is used — the placeholder is never a live
+    /// node.
     #[inline]
     fn alloc_block_bare(&mut self) -> u32 {
         if let Some(b) = self.free_blocks.pop() {
@@ -793,7 +737,7 @@ impl<D: Decomposition> ArenaTree<D> {
                 let (i, child_block) = D::descend(&block, depth, p);
                 let removed = self.remove_rec(base + i as u32, child_block, depth + 1, p);
                 if removed {
-                    self.try_collapse(slot, depth);
+                    self.try_collapse(slot, block, depth);
                 }
                 removed
             }
@@ -802,57 +746,47 @@ impl<D: Decomposition> ArenaTree<D> {
 
     /// Collapses an internal node whose children are all leaves holding
     /// at most `capacity` points combined — or an over-capacity pile of
-    /// coincident points, mirroring insertion's exception.
-    fn try_collapse(&mut self, slot: u32, depth: u32) {
-        let Slot::Internal(base) = self.slots[slot as usize] else {
+    /// coincident points, mirroring insertion's exception — by
+    /// rebuilding its block from the children's points in child order
+    /// (within-child order kept), the order the boxed collapse `append`s
+    /// them in. Either condition makes the rebuild one leaf.
+    fn try_collapse(&mut self, slot: u32, block: D::Block, depth: u32) {
+        let Some(&Slot::Internal(base)) = self.slots.get(slot as usize) else {
+            return;
+        };
+        let Some(kids) = self.slots.get(base as usize..base as usize + D::BRANCHING) else {
             return;
         };
         let mut total = 0usize;
-        for i in 0..D::BRANCHING {
-            match self.slots[base as usize + i] {
+        for kid in kids {
+            match *kid {
                 Slot::Leaf(buf) => total += self.leaves.len(buf),
                 Slot::Internal(_) => return,
             }
         }
         if total > self.capacity {
-            let mut first: Option<D::Point> = None;
-            for i in 0..D::BRANCHING {
-                let Slot::Leaf(buf) = self.slots[base as usize + i] else {
-                    unreachable!()
-                };
+            let mut first = None;
+            for kid in kids {
+                let Slot::Leaf(buf) = *kid else { return };
                 for q in self.leaves.points(buf) {
-                    match first {
-                        Some(f) => {
-                            if *q != f {
-                                return;
-                            }
-                        }
-                        None => first = Some(*q),
+                    if *first.get_or_insert(q) != q {
+                        return;
                     }
                 }
             }
         }
-        // Merge in child order (within-child order preserved), matching
-        // the boxed collapse's sequential `append`.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        for i in 0..D::BRANCHING {
-            let Slot::Leaf(buf) = self.slots[base as usize + i] else {
-                unreachable!()
-            };
-            scratch.extend_from_slice(self.leaves.points(buf));
-            self.census.leaf_removed(depth + 1, self.leaves.len(buf));
-            self.leaves.free(buf);
+        let mut run = std::mem::take(&mut self.scratch);
+        run.clear();
+        for kid in kids {
+            if let Slot::Leaf(buf) = *kid {
+                run.extend_from_slice(self.leaves.points(buf));
+                self.census.leaf_removed(depth + 1, self.leaves.len(buf));
+                self.leaves.free(buf);
+            }
         }
         self.free_blocks.push(base);
-        let merged = self.leaves.alloc();
-        for &q in &scratch {
-            self.leaves.push(merged, q);
-        }
-        self.slots[slot as usize] = Slot::Leaf(merged);
-        self.census.leaf_added(depth, scratch.len());
-        scratch.clear();
-        self.scratch = scratch;
+        self.rebuild(slot, block, depth, &mut run);
+        self.scratch = run;
     }
 
     /// `true` when an exactly equal point is stored (caller handles the
@@ -977,21 +911,63 @@ mod tests {
         Point2::new(x, y)
     }
 
+    /// The leaf pool's size: buffer records and slab points.
+    fn pool_size<D: Decomposition>(t: &ArenaTree<D>) -> (usize, usize) {
+        (t.leaves.bufs.len(), t.leaves.slab.len())
+    }
+
     #[test]
     fn free_list_reuses_blocks_and_bufs() {
         let mut t: ArenaTree<QuadDecomp> = ArenaTree::new(Rect::unit(), 1, 32);
         t.insert(pt(0.1, 0.1));
         t.insert(pt(0.9, 0.9));
         let slots_after_split = t.slots.len();
-        assert!(t.remove(&pt(0.9, 0.9)));
-        assert_eq!(t.free_blocks.len(), 1, "collapse frees the child block");
-        t.insert(pt(0.9, 0.9));
-        assert_eq!(
-            t.slots.len(),
-            slots_after_split,
-            "re-split must reuse the freed block, not grow the pool"
-        );
-        assert!(t.free_blocks.is_empty());
+        let pool_after_split = pool_size(&t);
+        for cycle in 0..4 {
+            assert!(t.remove(&pt(0.9, 0.9)));
+            assert_eq!(t.free_blocks.len(), 1, "collapse frees the child block");
+            t.insert(pt(0.9, 0.9));
+            assert_eq!(
+                t.slots.len(),
+                slots_after_split,
+                "cycle {cycle}: re-split must reuse the freed block, not grow the pool"
+            );
+            assert!(t.free_blocks.is_empty());
+            assert_eq!(
+                pool_size(&t),
+                pool_after_split,
+                "cycle {cycle}: collapse and re-split must reuse the freed leaf buffers"
+            );
+            t.check_invariants();
+        }
+    }
+
+    #[test]
+    fn churn_cycles_reuse_freed_leaf_buffers() {
+        // Removing a third of the points and inserting them again gives
+        // back the same tree, through the same sequence of leaf counts,
+        // so after the first cycle every buffer a collapse or a split
+        // needs is on the free list: the pool must not grow.
+        let pts: Vec<Point2> = spread::<2>(600).iter().map(|&[x, y]| pt(x, y)).collect();
+        let mut t: ArenaTree<QuadDecomp> = ArenaTree::new(Rect::unit(), 2, 32);
+        for &p in &pts {
+            t.insert(p);
+        }
+        let mut first_cycle = None;
+        for cycle in 0..5 {
+            for p in pts.iter().step_by(3) {
+                assert!(t.remove(p));
+            }
+            assert!(
+                !t.leaves.free.is_empty(),
+                "cycle {cycle}: the removes collapsed nothing"
+            );
+            for &p in pts.iter().step_by(3) {
+                t.insert(p);
+            }
+            let pool = pool_size(&t);
+            assert_eq!(*first_cycle.get_or_insert(pool), pool, "cycle {cycle}");
+        }
         t.check_invariants();
     }
 
@@ -1154,7 +1130,14 @@ mod tests {
     /// `n` points of a low-discrepancy sequence, coordinate `k` stepping
     /// by the `k`-th irrational below.
     fn spread<const K: usize>(n: usize) -> Vec<[f64; K]> {
-        const STEPS: [f64; 4] = [0.618_033_9, 0.414_213_6, 0.732_050_8, 0.236_068_0];
+        const STEPS: [f64; 6] = [
+            0.618_033_9,
+            0.414_213_6,
+            0.732_050_8,
+            0.236_068_0,
+            0.645_751_3,
+            0.316_624_8,
+        ];
         (0..n)
             .map(|i| std::array::from_fn(|k| (i as f64 * STEPS[k]) % 1.0))
             .collect()
@@ -1192,6 +1175,10 @@ mod tests {
             bulk_and_sequential::<OctDecomp>(Aabb3::unit(), capacity, max_depth, &oct);
             let nd: Vec<PointN<4>> = messy::<4>().into_iter().map(PointN::new).collect();
             bulk_and_sequential::<NdDecomp<4>>(BoxN::unit(), capacity, max_depth, &nd);
+            // B = 64 = MAX_BULK_BRANCHING, the widest scheme `new`
+            // admits: the partition's offsets array must hold it.
+            let nd: Vec<PointN<6>> = messy::<6>().into_iter().map(PointN::new).collect();
+            bulk_and_sequential::<NdDecomp<6>>(BoxN::unit(), capacity, max_depth, &nd);
         }
     }
 
@@ -1223,13 +1210,13 @@ mod tests {
         assert_same_tree(&bulk, &seq, "after churn");
     }
 
-    /// A generated point: a kind and four coordinates.
-    type Sample = (u8, f64, f64, f64, f64);
+    /// A generated point: a kind and six coordinates.
+    type Sample = (u8, [f64; 6]);
 
     /// The sample's coordinates, snapped to a 4-cell grid per axis for
     /// kinds 0–2, so coincident piles and split-line points are common.
-    fn coords(&(kind, a, b, c, d): &Sample) -> [f64; 4] {
-        [a, b, c, d].map(|v| if kind < 3 { (v * 4.0).floor() / 4.0 } else { v })
+    fn coords(&(kind, c): &Sample) -> [f64; 6] {
+        c.map(|v| if kind < 3 { (v * 4.0).floor() / 4.0 } else { v })
     }
 
     use popan_proptest::prelude::*;
@@ -1240,35 +1227,40 @@ mod tests {
         #[test]
         fn churn_after_bulk_build_matches_churn_after_insertion(
             seed in popan_proptest::collection::vec(
-                (0u8..8, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+                (0u8..8, popan_proptest::array::uniform6(0.0f64..1.0)),
                 0..120,
             ),
             ops in popan_proptest::collection::vec(
-                (popan_proptest::bool::ANY, (0u8..8, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0)),
+                (popan_proptest::bool::ANY, (0u8..8, popan_proptest::array::uniform6(0.0f64..1.0))),
                 0..80,
             ),
             capacity in 1usize..6,
             deep in popan_proptest::bool::ANY,
         ) {
             let max_depth = if deep { 32 } else { 3 };
-            let seed: Vec<[f64; 4]> = seed.iter().map(coords).collect();
-            let ops: Vec<(bool, [f64; 4])> = ops.iter().map(|(ins, s)| (*ins, coords(s))).collect();
+            let seed: Vec<[f64; 6]> = seed.iter().map(coords).collect();
+            let ops: Vec<(bool, [f64; 6])> = ops.iter().map(|(ins, s)| (*ins, coords(s))).collect();
 
-            let p2 = |c: &[f64; 4]| pt(c[0], c[1]);
+            let p2 = |c: &[f64; 6]| pt(c[0], c[1]);
             let quad: Vec<Point2> = seed.iter().map(p2).collect();
             let quad_ops: Vec<(bool, Point2)> = ops.iter().map(|(i, c)| (*i, p2(c))).collect();
             churn_after_build::<QuadDecomp>(Rect::unit(), capacity, max_depth, quad.clone(), &quad_ops);
             churn_after_build::<BinDecomp>(Rect::unit(), capacity, max_depth, quad, &quad_ops);
 
-            let p3 = |c: &[f64; 4]| Point3::new(c[0], c[1], c[2]);
+            let p3 = |c: &[f64; 6]| Point3::new(c[0], c[1], c[2]);
             let oct: Vec<Point3> = seed.iter().map(p3).collect();
             let oct_ops: Vec<(bool, Point3)> = ops.iter().map(|(i, c)| (*i, p3(c))).collect();
             churn_after_build::<OctDecomp>(Aabb3::unit(), capacity, max_depth, oct, &oct_ops);
 
-            let nd: Vec<PointN<4>> = seed.into_iter().map(PointN::new).collect();
-            let nd_ops: Vec<(bool, PointN<4>)> =
-                ops.into_iter().map(|(i, c)| (i, PointN::new(c))).collect();
+            let p4 = |c: &[f64; 6]| PointN::new([c[0], c[1], c[2], c[3]]);
+            let nd: Vec<PointN<4>> = seed.iter().map(p4).collect();
+            let nd_ops: Vec<(bool, PointN<4>)> = ops.iter().map(|(i, c)| (*i, p4(c))).collect();
             churn_after_build::<NdDecomp<4>>(BoxN::unit(), capacity, max_depth, nd, &nd_ops);
+
+            let nd: Vec<PointN<6>> = seed.into_iter().map(PointN::new).collect();
+            let nd_ops: Vec<(bool, PointN<6>)> =
+                ops.into_iter().map(|(i, c)| (i, PointN::new(c))).collect();
+            churn_after_build::<NdDecomp<6>>(BoxN::unit(), capacity, max_depth, nd, &nd_ops);
         }
     }
 

@@ -10,7 +10,9 @@
 //! this crate otherwise provides.
 //!
 //! Backed by the contiguous arena core with an incrementally maintained
-//! census, like every regular-decomposition tree in this crate.
+//! census, like every regular-decomposition tree in this crate. The
+//! arena's subtree builder partitions a block's points over at most 64
+//! children, so `D ≤ 6`: a wider tree fails to compile.
 
 use crate::arena::{ArenaTree, NdDecomp};
 use crate::node_stats::{DepthOccupancyTable, LeafRecord, OccupancyInstrumented, OccupancyProfile};
@@ -20,7 +22,8 @@ use popan_geom::{BoxN, PointN};
 /// Default depth limit.
 pub const DEFAULT_MAX_DEPTH: u32 = 32;
 
-/// A PR tree over `[f64; D]` points with node capacity `m`.
+/// A PR tree over `[f64; D]` points with node capacity `m`, for
+/// `1 ≤ D ≤ 6`.
 #[derive(Debug, Clone)]
 pub struct PrTreeNd<const D: usize> {
     tree: ArenaTree<NdDecomp<D>>,

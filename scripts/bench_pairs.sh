@@ -33,10 +33,11 @@
 #   * `metrics`: for every `metric` line perfbench printed, each side's
 #     median and Q1–Q3 over the pairs, the per-pair ratio change ÷
 #     parent (median, min, max), and `wins`, the pairs the change read
-#     better in (higher is better for a `ratio` or `1/s` unit, such as
-#     `ok_frac` and `ops_per_s`, lower for every other; ties count for
-#     neither side), and for each end-to-end metric of BENCHMARK.json a
-#     `verdict` (below);
+#     better in (in the direction of the metric's `better` in
+#     BENCHMARK.json; for a metric that file does not list, higher for
+#     a `ratio` or `1/s` unit, such as `ops_per_s`, lower for every
+#     other; ties count for neither side), and for each end-to-end
+#     metric of BENCHMARK.json a `verdict` (below);
 #   * `same_digests_and_counters`: the pairs whose `digest` and
 #     `counter` lines were identical on both sides;
 #   * `runs`: every run's `metric` lines, keyed by seed and side.
@@ -70,7 +71,7 @@ quartiles() { # reads numbers on stdin, prints "q1 median q3"
 }
 
 summarize() { # tsv: prints the `metrics` object
-  local tsv=$1 metrics n_metrics k=0 m unit bound p1 pm p3 c1 cm c3 pairs higher_better wins n_pairs
+  local tsv=$1 metrics n_metrics k=0 m unit bound better p1 pm p3 c1 cm c3 pairs higher_better wins n_pairs
   local ratios rm rmin rmax all_better verdict sep
   echo "{"
   metrics=$(cut -f3 "$tsv" | awk '!seen[$0]++')
@@ -79,14 +80,17 @@ summarize() { # tsv: prints the `metrics` object
     k=$((k + 1))
     unit=$(awk -F'\t' -v m="$m" '$3 == m {print $5; exit}' "$tsv")
     bound=$(sed -n "s/.*\"name\": *\"$m\".*\"bound\": *\([0-9.eE+-]*\).*/\1/p" "$ROOT/BENCHMARK.json")
+    better=$(sed -n "s/.*\"name\": *\"$m\".*\"better\": *\"\([a-z]*\)\".*/\1/p" "$ROOT/BENCHMARK.json")
     read -r p1 pm p3 <<< "$(awk -F'\t' -v m="$m" '$3 == m && $2 == "parent" {print $4}' "$tsv" | quartiles)"
     read -r c1 cm c3 <<< "$(awk -F'\t' -v m="$m" '$3 == m && $2 == "change" {print $4}' "$tsv" | quartiles)"
     # Per-pair ratio and wins, pairing the two sides by seed.
     pairs=$(awk -F'\t' -v m="$m" '$3 == m {v[$1 "," $2] = $4; s[$1]}
       END { for (k in s) if ((k ",parent") in v && (k ",change") in v) print v[k ",parent"], v[k ",change"] }' \
       "$tsv")
-    higher_better=0
-    case $unit in ratio | 1/s) higher_better=1 ;; esac
+    case $better/$unit in
+      higher/* | /ratio | /1/s) higher_better=1 ;;
+      *) higher_better=0 ;;
+    esac
     wins=$(echo "$pairs" | awk -v hb="$higher_better" '(hb ? $2 > $1 : $2 < $1) {w++} END {print w + 0}')
     n_pairs=$(echo "$pairs" | awk 'NF == 2 {n++} END {print n + 0}')
     ratios=$(echo "$pairs" | awk '$1 != 0 {printf "%.6g\n", $2 / $1}')

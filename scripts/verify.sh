@@ -49,6 +49,13 @@ op_p99_us worse
 pass_s gain
 ok_frac worse" ] || {
   echo "verify: bench_pairs.sh --summarize gave the wrong verdicts on the fixture: $verdicts" >&2; exit 1; }
+# Wins follow each metric's `better` in BENCHMARK.json, not its unit:
+# the fixture's query.range_hits (a count, better higher) rises in
+# every one of its 10 pairs.
+hits_wins=$(scripts/bench_pairs.sh --summarize scripts/fixtures/pair_verdicts.tsv |
+  sed -n 's/^ *"query.range_hits": {.*"wins": \([0-9]*\).*/\1/p')
+[ "$hits_wins" = 10 ] || {
+  echo "verify: bench_pairs.sh --summarize counted $hits_wins of 10 wins for query.range_hits" >&2; exit 1; }
 
 cargo build --release --offline --workspace
 # The whole suite runs twice: once forced sequential, once on four
