@@ -117,6 +117,41 @@ fn split_is_parallel_deterministic() {
     }
 }
 
+/// The drivers that run trials through `ExperimentConfig::engine`, whose
+/// thread count comes from `POPAN_THREADS`: each is run under 1 and
+/// under 4 and its rows compared through `Debug`. One test function, so
+/// that no other test here races on the variable; the rest of this file
+/// builds its engines with `Engine::with_threads` and reads no
+/// environment.
+#[test]
+fn env_engine_drivers_are_parallel_deterministic() {
+    let config = cfg(3, 300);
+    let runs = |threads: &str| {
+        std::env::set_var("POPAN_THREADS", threads);
+        [
+            format!("{:?}", popan_experiments::aging_exp::run(&config, &[1, 4])),
+            format!("{:?}", popan_experiments::dims::run(&config, 4)),
+            format!(
+                "{:?}",
+                popan_experiments::phasing_sweep::run(&config, &[1, 8])
+            ),
+        ]
+    };
+    let saved = std::env::var("POPAN_THREADS").ok();
+    let sequential = runs("1");
+    let parallel = runs("4");
+    match saved {
+        Some(v) => std::env::set_var("POPAN_THREADS", v),
+        None => std::env::remove_var("POPAN_THREADS"),
+    }
+    for (driver, (s, p)) in ["aging", "dims", "phasing_sweep"]
+        .iter()
+        .zip(sequential.iter().zip(&parallel))
+    {
+        assert_eq!(s, p, "{driver}: 4-thread rows differ from 1-thread rows");
+    }
+}
+
 #[test]
 fn injected_panic_leaves_survivors_bit_identical_across_threads() {
     // Fault isolation must not weaken the determinism contract: with

@@ -16,6 +16,15 @@
 //!   `n = 1000·2^k`, `k = 0…6`: only outputs that do not depend on node
 //!   ids — every depth-table class count, pivot count, path length,
 //!   expected insertion depth, node count and in-order keys;
+//! * the bulk-built PR trees of the drivers that read only a census:
+//!   `split`'s bintree, quadtree and octree at `m = 4` over its ladder
+//!   `n = 1000·2^k`, `k = 0…6`, `dims`' 4-d tree at `m = 4` over its
+//!   ×16 cycle, and `phasing_sweep`'s quadtree at `m ∈ {1, 2, 4, 8, 16}`
+//!   over its ×√2 ladder, each with the driver's trial seeds at the
+//!   paper protocol: every depth-table class count and the leaf count;
+//! * the mean-field tree (`dims`, `aging` and `phasing_sweep`): average
+//!   occupancy, occupancy distribution and level table along a doubling
+//!   ladder, for the `(b, m)` pairs those drivers step;
 //! * the PMR quadtree (`pmr` driver), thresholds `{1, 2, 4}`: leaf
 //!   records in traversal order, node count, and the answers for a
 //!   centre window and a 1/1024-wide strip on the x midline;
@@ -25,15 +34,22 @@
 //!
 //! A failure prints the new digest.
 
+use popan::core::dynamics::MeanFieldTree;
 use popan::core::pmr_model::{PmrModel, RandomChords, ShortSegments};
 use popan::core::{PopulationModel, SteadyStateSolver};
+use popan::experiments::ExperimentConfig;
 use popan::exthash::ExtendibleHashTable;
-use popan::geom::{Point2, Rect, Segment2};
-use popan::spatial::{MarySearchTree, OccupancyInstrumented, PmrQuadtree};
+use popan::geom::{Aabb3, BoxN, Point2, PointN, Rect, Segment2};
+use popan::spatial::{
+    Bintree, DepthOccupancyTable, MarySearchTree, OccupancyInstrumented, PmrQuadtree, PrOctree,
+    PrQuadtree, PrTreeNd,
+};
 use popan::workload::keys::UniformKeys;
 use popan::workload::lines::{SegmentSource, UniformEndpoints};
+use popan::workload::points::{PointSource, UniformCube, UniformRect};
 use popan::workload::TrialRunner;
 use popan_rng::hash::Fnv64;
+use popan_rng::Rng;
 
 fn assert_pin(what: &str, got: u64, pinned: u64) {
     assert_eq!(
@@ -124,6 +140,106 @@ fn mary_search_tree_builds_match_their_pin() {
         }
     }
     assert_pin("m-ary build", h.finish(), 0xeb57_76ae_2ad3_6567);
+}
+
+/// Folds every class count of `table`, occupancies up to
+/// `max_occupancy`, and the leaf count.
+fn fold_census(h: &mut Fnv64, table: &DepthOccupancyTable, max_occupancy: usize, leaves: usize) {
+    for depth in 0..=table.max_depth().unwrap_or(0) {
+        for occupancy in 0..=max_occupancy {
+            h.write_u64(table.count(depth, occupancy));
+        }
+    }
+    h.write_u64(leaves as u64);
+}
+
+#[test]
+fn census_driver_trees_match_their_pin() {
+    let paper = ExperimentConfig::paper();
+    let mut h = Fnv64::new();
+    // `split`: the ×2 ladder, salt `0x5917 ^ (b << 44) ^ (n << 20)`.
+    for k in 0..=6 {
+        let n = 1000usize << k;
+        let runner = |b: u64| paper.runner(0x5917 ^ (b << 44) ^ (n as u64) << 20);
+        for t in 0..paper.trials {
+            let pts = UniformRect::unit().sample_n(&mut runner(2).rng_for_trial(t), n);
+            let tree = Bintree::build(Rect::unit(), 4, pts).unwrap();
+            let max = tree.occupancy_profile().max_occupancy();
+            fold_census(&mut h, tree.depth_table(), max, tree.leaf_count());
+            let pts = UniformRect::unit().sample_n(&mut runner(4).rng_for_trial(t), n);
+            let tree = PrQuadtree::build(Rect::unit(), 4, pts).unwrap();
+            let max = tree.occupancy_profile().max_occupancy();
+            fold_census(&mut h, tree.depth_table(), max, tree.leaf_count());
+            let pts = UniformCube::unit().sample_n(&mut runner(8).rng_for_trial(t), n);
+            let tree = PrOctree::build(Aabb3::unit(), 4, pts).unwrap();
+            let max = tree.occupancy_profile().max_occupancy();
+            fold_census(&mut h, tree.depth_table(), max, tree.leaf_count());
+        }
+    }
+    // `dims`' 4-d tree: four sizes over one ×16 cycle, salt
+    // `0xd1b16 ^ (n << 20)`.
+    for k in 0..4 {
+        let n = (paper.points as f64 * 16f64.powf(k as f64 / 4.0)) as usize;
+        let runner = paper.runner(0xd1b16 ^ (n as u64) << 20);
+        for t in 0..paper.trials {
+            let mut rng = runner.rng_for_trial(t);
+            let points: Vec<PointN<4>> = (0..n)
+                .map(|_| PointN::new(std::array::from_fn(|_| rng.random_range(0.0..1.0))))
+                .collect();
+            let tree = PrTreeNd::<4>::build(BoxN::unit(), 4, points).unwrap();
+            let max = tree.occupancy_profile().max_occupancy();
+            fold_census(&mut h, tree.depth_table(), max, tree.leaf_count());
+        }
+    }
+    // `phasing_sweep`: the ×√2 ladder from 64, salt
+    // `0x9a5e ^ (m << 40) ^ n`.
+    for m in [1usize, 2, 4, 8, 16] {
+        for k in 0..13 {
+            let n = (64.0 * 2f64.powf(k as f64 / 2.0)).round() as usize;
+            let runner = paper.runner(0x9a5e ^ ((m as u64) << 40) ^ (n as u64));
+            for t in 0..paper.trials {
+                let pts = UniformRect::unit().sample_n(&mut runner.rng_for_trial(t), n);
+                let tree = PrQuadtree::build(Rect::unit(), m, pts).unwrap();
+                let max = tree.occupancy_profile().max_occupancy();
+                fold_census(&mut h, tree.depth_table(), max, tree.leaf_count());
+            }
+        }
+    }
+    assert_pin("census drivers", h.finish(), 0xb415_611f_7f87_7982);
+}
+
+#[test]
+fn mean_field_trees_match_their_pin() {
+    let mut h = Fnv64::new();
+    for (branching, capacity) in [
+        (4usize, 1usize),
+        (4, 2),
+        (4, 4),
+        (4, 8),
+        (4, 16),
+        (2, 4),
+        (8, 4),
+        (16, 4),
+    ] {
+        let mut t = MeanFieldTree::new(branching, capacity).unwrap();
+        let mut steps = 0;
+        for target in [1usize, 2, 64, 100, 1000, 1500, 4096] {
+            t.run(target - steps);
+            steps = target;
+            h.write_f64(t.average_occupancy());
+            for &p in t.distribution().unwrap().proportions() {
+                h.write_f64(p);
+            }
+            for (level, leaves, occupancy) in t.level_table(0.0) {
+                h.write_u32(level);
+                h.write_f64(leaves);
+                h.write_f64(occupancy);
+            }
+            h.write_f64(t.leaf_count());
+            h.write_f64(t.total_area());
+        }
+    }
+    assert_pin("mean field", h.finish(), 0x3f0b_b1a8_123a_196d);
 }
 
 fn fold_segments(h: &mut Fnv64, segments: &[Segment2]) {
