@@ -8,6 +8,9 @@
 //! * `build_*`: a paper-scale tree build (10⁵ uniform points) at
 //!   m ∈ {1, 8, 16}, and the bintree and octree bulk builds at m = 4
 //!   (arena only);
+//! * `census_of_arena_*`: the census alone of each arena `build_*` row,
+//!   on the same input, run next to it (`census_of`, the census-only
+//!   drivers' entry), so the two rows' ratio is the saving;
 //! * `freeze_from_tree_churned`: `LinearQuadtree::from_tree` on a
 //!   2×10⁵-point clustered m=8 tree after 8 churn epochs, each
 //!   replacing 2.5% of the points (the freeze `churn_clustered` runs
@@ -81,6 +84,13 @@ fn bench_spatial(c: &mut Criterion) {
                     .len()
             })
         });
+        group.bench_function(format!("census_of_arena_m{m}"), |b| {
+            b.iter(|| {
+                PrQuadtree::census_of(Rect::unit(), m, black_box(points.clone()))
+                    .unwrap()
+                    .leaf_count()
+            })
+        });
     }
 
     group.bench_function("build_arena_bintree_m4", |b| {
@@ -90,12 +100,26 @@ fn bench_spatial(c: &mut Criterion) {
                 .len()
         })
     });
+    group.bench_function("census_of_arena_bintree_m4", |b| {
+        b.iter(|| {
+            Bintree::census_of(Rect::unit(), 4, black_box(points.clone()))
+                .unwrap()
+                .leaf_count()
+        })
+    });
     let points3 = UniformCube::unit().sample_n(&mut StdRng::seed_from_u64(1), BUILD_N);
     group.bench_function("build_arena_octree_m4", |b| {
         b.iter(|| {
             PrOctree::build(Aabb3::unit(), 4, black_box(points3.iter().copied()))
                 .unwrap()
                 .len()
+        })
+    });
+    group.bench_function("census_of_arena_octree_m4", |b| {
+        b.iter(|| {
+            PrOctree::census_of(Aabb3::unit(), 4, black_box(points3.clone()))
+                .unwrap()
+                .leaf_count()
         })
     });
 

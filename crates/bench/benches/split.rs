@@ -4,6 +4,8 @@
 //!
 //! * `build_mary_b{3,8}`: a paper-scale bulk build (10⁵ uniform keys) by
 //!   stable partition;
+//! * `census_of_mary_b{3,8}`: the census alone of the same build
+//!   (`census_of`, what the `split` driver runs), next to it;
 //! * `insert_loop_mary_b{3,8}`: the same tree from `new` plus one
 //!   `insert` per key — the incremental path (pivot promotion, census
 //!   updates), and the reference `build_mary_b{3,8}` is read against,
@@ -42,6 +44,13 @@ fn bench_split(c: &mut Criterion) {
                 MarySearchTree::build(b, black_box(keys.iter().copied()))
                     .unwrap()
                     .len()
+            })
+        });
+        group.bench_function(format!("census_of_mary_b{b}"), |bch| {
+            bch.iter(|| {
+                MarySearchTree::census_of(b, black_box(keys.clone()))
+                    .unwrap()
+                    .total_path_length()
             })
         });
         group.bench_function(format!("insert_loop_mary_b{b}"), |bch| {

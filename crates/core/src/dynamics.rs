@@ -27,7 +27,6 @@ use crate::transform::PopulationModel;
 use crate::{ModelError, Result};
 use popan_numeric::combinatorics::expected_bucket_count_vector;
 use popan_numeric::DVector;
-use std::collections::BTreeMap;
 
 /// Occupancy-only mean-field dynamics with configurable hit weights.
 ///
@@ -152,11 +151,17 @@ impl CountDynamics {
 pub struct MeanFieldTree {
     branching: usize,
     capacity: usize,
-    /// level → expected leaf counts per occupancy `0..=m` at that level.
-    levels: BTreeMap<u32, Vec<f64>>,
+    /// `levels[ℓ]`: expected leaf counts per occupancy `0..=m` at level
+    /// `ℓ`. Levels are contiguous from the root's 0: a cascade only ever
+    /// opens the level below the deepest one.
+    levels: Vec<Vec<f64>>,
+    /// `areas[ℓ]`: the area `b^{−ℓ}` of one block at level `ℓ`.
+    areas: Vec<f64>,
     /// Resolved split distribution `P_0..P_{m+1}` for one split.
     split_p: Vec<f64>,
     items: f64,
+    /// One step's `(level, occupancy, mass)` hits, reused across steps.
+    hits: Vec<(usize, usize, f64)>,
 }
 
 /// Mass below which a cascading split carry is dropped.
@@ -173,22 +178,22 @@ impl MeanFieldTree {
         }
         let split_p = expected_bucket_count_vector(capacity as u64 + 1, branching as u64)
             .map_err(ModelError::Numeric)?;
-        let mut levels = BTreeMap::new();
         let mut root = vec![0.0; capacity + 1];
         root[0] = 1.0;
-        levels.insert(0, root);
         Ok(MeanFieldTree {
             branching,
             capacity,
-            levels,
+            levels: vec![root],
+            areas: vec![Self::area(branching, 0)],
             split_p,
             items: 0.0,
+            hits: Vec::new(),
         })
     }
 
     /// Area of one block at `level`: `b^{−level}` of the root.
-    fn area(&self, level: u32) -> f64 {
-        (self.branching as f64).powi(-(level as i32))
+    fn area(branching: usize, level: usize) -> f64 {
+        (branching as f64).powi(-(level as i32))
     }
 
     /// Inserts one item in expectation: each class `(ℓ, i)` receives mass
@@ -196,9 +201,9 @@ impl MeanFieldTree {
     /// under a uniform workload, since leaves tile the region).
     pub fn step(&mut self) {
         // Snapshot the hit masses first (simultaneous update).
-        let mut hits: Vec<(u32, usize, f64)> = Vec::new();
-        for (&level, row) in &self.levels {
-            let area = self.area(level);
+        let mut hits = std::mem::take(&mut self.hits);
+        hits.clear();
+        for (level, (row, &area)) in self.levels.iter().zip(&self.areas).enumerate() {
             for (i, &c) in row.iter().enumerate() {
                 let p = c * area;
                 if p > 0.0 {
@@ -206,11 +211,11 @@ impl MeanFieldTree {
                 }
             }
         }
-        for (level, i, p) in hits {
-            // The key was snapshotted from this same map above with no
-            // removal between, but a lookup miss degrades to a skipped
+        for &(level, i, p) in &hits {
+            // The level was snapshotted from this same vector above and
+            // levels are never removed, but a miss degrades to a skipped
             // hit rather than a panic.
-            let Some(row) = self.levels.get_mut(&level) else {
+            let Some(row) = self.levels.get_mut(level) else {
                 continue;
             };
             row[i] -= p;
@@ -220,19 +225,23 @@ impl MeanFieldTree {
                 self.cascade_split(level, p);
             }
         }
+        self.hits = hits;
         self.items += 1.0;
     }
 
     /// Splits mass `p` of full nodes at `level`: children appear one
     /// level down with the binomial occupancy mix; the all-in-one-bucket
     /// fraction keeps splitting.
-    fn cascade_split(&mut self, mut level: u32, mut carry: f64) {
+    fn cascade_split(&mut self, mut level: usize, mut carry: f64) {
         while carry > CARRY_EPS {
             level += 1;
-            let row = self
-                .levels
-                .entry(level)
-                .or_insert_with(|| vec![0.0; self.capacity + 1]);
+            if level == self.levels.len() {
+                self.levels.push(vec![0.0; self.capacity + 1]);
+                self.areas.push(Self::area(self.branching, level));
+            }
+            let Some(row) = self.levels.get_mut(level) else {
+                return;
+            };
             for (j, slot) in row.iter_mut().enumerate() {
                 *slot += carry * self.split_p[j];
             }
@@ -254,7 +263,7 @@ impl MeanFieldTree {
 
     /// Expected total leaf count.
     pub fn leaf_count(&self) -> f64 {
-        self.levels.values().flatten().sum()
+        self.levels.iter().flatten().sum()
     }
 
     /// Total area of all leaves — identically 1 (leaves tile the region).
@@ -262,14 +271,15 @@ impl MeanFieldTree {
     pub fn total_area(&self) -> f64 {
         self.levels
             .iter()
-            .map(|(&l, row)| self.area(l) * row.iter().sum::<f64>())
+            .zip(&self.areas)
+            .map(|(row, &area)| area * row.iter().sum::<f64>())
             .sum()
     }
 
     /// The occupancy mix across all levels.
     pub fn distribution(&self) -> Result<ExpectedDistribution> {
         let mut counts = vec![0.0; self.capacity + 1];
-        for row in self.levels.values() {
+        for row in &self.levels {
             for (i, &c) in row.iter().enumerate() {
                 counts[i] += c;
             }
@@ -281,7 +291,7 @@ impl MeanFieldTree {
     pub fn average_occupancy(&self) -> f64 {
         let mut items = 0.0;
         let mut leaves = 0.0;
-        for row in self.levels.values() {
+        for row in &self.levels {
             for (i, &c) in row.iter().enumerate() {
                 items += i as f64 * c;
                 leaves += c;
@@ -296,13 +306,14 @@ impl MeanFieldTree {
     pub fn level_table(&self, min_count: f64) -> Vec<(u32, f64, f64)> {
         self.levels
             .iter()
-            .filter_map(|(&l, row)| {
+            .enumerate()
+            .filter_map(|(l, row)| {
                 let leaves: f64 = row.iter().sum();
                 if leaves < min_count {
                     return None;
                 }
                 let items: f64 = row.iter().enumerate().map(|(i, &c)| i as f64 * c).sum();
-                Some((l, leaves, items / leaves))
+                Some((l as u32, leaves, items / leaves))
             })
             .collect()
     }

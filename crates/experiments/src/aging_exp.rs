@@ -63,10 +63,10 @@ fn measured_cycle_average(config: &ExperimentConfig, capacity: usize, from_point
     for n in sizes {
         let runner = config.runner(0xa9e ^ ((capacity as u64) << 40) ^ (n as u64));
         samples.push(engine.mean_trials(runner, |_, rng| {
-            let tree =
-                PrQuadtree::build(Rect::unit(), capacity, UniformRect::unit().sample_n(rng, n))
-                    .expect("in-region points");
-            tree.occupancy_profile().average_occupancy()
+            PrQuadtree::census_of(Rect::unit(), capacity, UniformRect::unit().sample_n(rng, n))
+                .expect("in-region points")
+                .profile()
+                .average_occupancy()
         }));
     }
     samples.iter().sum::<f64>() / samples.len() as f64

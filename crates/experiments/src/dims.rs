@@ -103,27 +103,30 @@ pub fn run(config: &ExperimentConfig, capacity: usize) -> Vec<DimsRow> {
         };
 
     let occ = cycle_mean(0xd1b2, 2, &|rng, n| {
-        let tree = Bintree::build(Rect::unit(), capacity, UniformRect::unit().sample_n(rng, n))
-            .expect("in-region points");
-        tree.occupancy_profile().average_occupancy()
+        Bintree::census_of(Rect::unit(), capacity, UniformRect::unit().sample_n(rng, n))
+            .expect("in-region points")
+            .profile()
+            .average_occupancy()
     });
     rows.push(make_row("bintree", 2, theory(2), mean_field(2), occ));
 
     let occ = cycle_mean(0xd1b4, 4, &|rng, n| {
-        let tree = PrQuadtree::build(Rect::unit(), capacity, UniformRect::unit().sample_n(rng, n))
-            .expect("in-region points");
-        tree.occupancy_profile().average_occupancy()
+        PrQuadtree::census_of(Rect::unit(), capacity, UniformRect::unit().sample_n(rng, n))
+            .expect("in-region points")
+            .profile()
+            .average_occupancy()
     });
     rows.push(make_row("PR quadtree", 4, theory(4), mean_field(4), occ));
 
     let occ = cycle_mean(0xd1b8, 8, &|rng, n| {
-        let tree = PrOctree::build(
+        PrOctree::census_of(
             Aabb3::unit(),
             capacity,
             UniformCube::unit().sample_n(rng, n),
         )
-        .expect("in-region points");
-        tree.occupancy_profile().average_occupancy()
+        .expect("in-region points")
+        .profile()
+        .average_occupancy()
     });
     rows.push(make_row("PR octree", 8, theory(8), mean_field(8), occ));
 
@@ -131,10 +134,12 @@ pub fn run(config: &ExperimentConfig, capacity: usize) -> Vec<DimsRow> {
     let occ = cycle_mean(0xd1b16, 16, &|rng, n| {
         use popan_rng::Rng;
         let points = (0..n)
-            .map(|_| popan_geom::PointN::new(std::array::from_fn(|_| rng.random_range(0.0..1.0))));
-        let tree = popan_spatial::PrTreeNd::<4>::build(popan_geom::BoxN::unit(), capacity, points)
-            .expect("in-region points");
-        tree.occupancy_profile().average_occupancy()
+            .map(|_| popan_geom::PointN::new(std::array::from_fn(|_| rng.random_range(0.0..1.0))))
+            .collect();
+        popan_spatial::PrTreeNd::<4>::census_of(popan_geom::BoxN::unit(), capacity, points)
+            .expect("in-region points")
+            .profile()
+            .average_occupancy()
     });
     rows.push(make_row("PR 4-d tree", 16, theory(16), mean_field(16), occ));
 

@@ -49,13 +49,10 @@ pub fn run(config: &ExperimentConfig, capacities: &[usize]) -> Vec<PhasingSweepR
                 .map(|n| {
                     let runner = config.runner(0x9a5e ^ ((m as u64) << 40) ^ (n as u64));
                     engine.mean_trials(runner, |_, rng| {
-                        let tree = PrQuadtree::build(
-                            Rect::unit(),
-                            m,
-                            UniformRect::unit().sample_n(rng, n),
-                        )
-                        .expect("in-region points");
-                        tree.occupancy_profile().average_occupancy()
+                        PrQuadtree::census_of(Rect::unit(), m, UniformRect::unit().sample_n(rng, n))
+                            .expect("in-region points")
+                            .profile()
+                            .average_occupancy()
                     })
                 })
                 .collect();

@@ -102,13 +102,14 @@ impl Experiment for SkewExperiment {
 
     fn run_trial(&self, _t: usize, rng: &mut StdRng) -> Vec<f64> {
         let source = Cascade::new(Rect::unit(), self.quadrant_probs, 16);
-        let tree = PrQuadtree::build(
+        PrQuadtree::census_of(
             Rect::unit(),
             self.capacity,
             source.sample_n(rng, self.config.points),
         )
-        .expect("in-region points");
-        tree.occupancy_profile().proportions(self.capacity)
+        .expect("in-region points")
+        .profile()
+        .proportions(self.capacity)
     }
 
     fn aggregate(&self, theory: (Vec<f64>, Vec<f64>), trials: &[Vec<f64>]) -> SkewResult {

@@ -78,13 +78,13 @@ impl Experiment for Table1Experiment {
     }
 
     fn run_trial(&self, _t: usize, rng: &mut StdRng) -> (Vec<f64>, f64) {
-        let tree = PrQuadtree::build(
+        let census = PrQuadtree::census_of(
             Rect::unit(),
             self.capacity,
             UniformRect::unit().sample_n(rng, self.config.points),
         )
         .expect("points lie in the unit square");
-        let profile = tree.occupancy_profile();
+        let profile = census.profile();
         (
             profile.proportions(self.capacity),
             profile.average_occupancy(),

@@ -105,8 +105,8 @@ impl Experiment for SizePointExperiment {
                 GaussianCentered::two_sigma_wide(Rect::unit()).sample_n(rng, self.points)
             }
         };
-        let tree = PrQuadtree::build(Rect::unit(), CAPACITY, pts).expect("in-region points");
-        let profile = tree.occupancy_profile();
+        let census = PrQuadtree::census_of(Rect::unit(), CAPACITY, pts).expect("in-region points");
+        let profile = census.profile();
         (profile.total_leaves() as f64, profile.average_occupancy())
     }
 

@@ -23,17 +23,23 @@
 //!   buffer is freed, so no points move back and forth on the boundary).
 //!   Freed buffers are reused before the slab grows.
 //!
-//! # One subtree builder
+//! # One subtree builder, two sinks
 //!
 //! A PR tree is a function of its point multiset, so every change of
 //! shape is a rebuild of one block from its points: [`ArenaTree::rebuild`]
 //! decides the block leaf or split by the PR rule, and for a split
 //! [`ArenaTree::bulk_rec`] partitions the points stably among the
-//! children and decides each of them in turn. Its three callers hand it
-//! the block's points in insertion order: the bulk build (the root and
-//! every point), an insert that overflows a leaf (the leaf's points with
-//! the new one last) and a remove that leaves a node mergeable (the
-//! children's points in child order, which come back as one leaf).
+//! children and decides each of them in turn. Its three callers in the
+//! tree hand it the block's points in insertion order: the bulk build
+//! (the root and every point), an insert that overflows a leaf (the
+//! leaf's points with the new one last) and a remove that leaves a node
+//! mergeable (the children's points in child order, which come back as
+//! one leaf).
+//!
+//! The builder sends each block it decides to a [`BlockSink`]. The tree
+//! is one sink: slots, leaf buffers and census. An [`OccupancyCensus`]
+//! alone is the other, for [`ArenaTree::census_of`]: the census a bulk
+//! build reaches, with no slot, leaf buffer or point copy made.
 //!
 //! # Bit-identity with the boxed implementation
 //!
@@ -442,9 +448,68 @@ pub(crate) struct ArenaTree<D: Decomposition> {
     /// The work area [`ArenaTree::rebuild`] partitions a run into.
     work: Vec<D::Point>,
     region: D::Block,
+    rule: PrRule,
+    len: usize,
+}
+
+/// The PR rule's parameters: a block at `depth` is a leaf when its
+/// points fit in `capacity`, when `max_depth` allows no split, or when
+/// they all coincide (no split separates them).
+#[derive(Debug, Clone, Copy)]
+struct PrRule {
     capacity: usize,
     max_depth: u32,
-    len: usize,
+}
+
+impl PrRule {
+    fn is_leaf<P: PartialEq>(self, depth: u32, pts: &[P]) -> bool {
+        pts.len() <= self.capacity
+            || depth >= self.max_depth
+            || pts
+                .split_first()
+                .is_none_or(|(first, rest)| rest.iter().all(|q| q == first))
+    }
+}
+
+/// Where [`ArenaTree::rebuild`] sends each block it decides.
+trait BlockSink<P> {
+    /// Makes `slot` an internal node; returns the slot of its first
+    /// child (the children's slots are contiguous).
+    fn place_internal(&mut self, slot: u32) -> u32;
+    /// Makes `slot` a leaf at `depth` holding `pts`.
+    fn place_leaf(&mut self, slot: u32, depth: u32, pts: &[P]);
+}
+
+/// The census alone: one record per leaf. It has no slots, so every
+/// child slot it hands out is 0.
+impl<P> BlockSink<P> for OccupancyCensus {
+    fn place_internal(&mut self, _slot: u32) -> u32 {
+        0
+    }
+
+    fn place_leaf(&mut self, _slot: u32, depth: u32, pts: &[P]) {
+        self.leaf_added(depth, pts.len());
+    }
+}
+
+/// The tree: slots, leaf buffers and census.
+impl<D: Decomposition> BlockSink<D::Point> for ArenaTree<D> {
+    fn place_internal(&mut self, slot: u32) -> u32 {
+        let base = self.alloc_block_bare();
+        if let Some(s) = self.slots.get_mut(slot as usize) {
+            *s = Slot::Internal(base);
+        }
+        base
+    }
+
+    /// One buffer, filled by one slice copy, and one census record.
+    fn place_leaf(&mut self, slot: u32, depth: u32, pts: &[D::Point]) {
+        self.census.leaf_added(depth, pts.len());
+        let buf = self.leaves.alloc_filled(pts);
+        if let Some(s) = self.slots.get_mut(slot as usize) {
+            *s = Slot::Leaf(buf);
+        }
+    }
 }
 
 /// The root slot id.
@@ -469,8 +534,10 @@ impl<D: Decomposition> ArenaTree<D> {
             scratch: Vec::new(),
             work: Vec::new(),
             region,
-            capacity,
-            max_depth,
+            rule: PrRule {
+                capacity,
+                max_depth,
+            },
             len: 0,
         }
     }
@@ -480,11 +547,11 @@ impl<D: Decomposition> ArenaTree<D> {
     }
 
     pub(crate) fn capacity(&self) -> usize {
-        self.capacity
+        self.rule.capacity
     }
 
     pub(crate) fn max_depth(&self) -> u32 {
-        self.max_depth
+        self.rule.max_depth
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -532,7 +599,7 @@ impl<D: Decomposition> ArenaTree<D> {
                 Slot::Leaf(buf) => {
                     let old = self.leaves.len(buf);
                     self.leaves.push(buf, p);
-                    if self.is_leaf(depth, self.leaves.points(buf)) {
+                    if self.rule.is_leaf(depth, self.leaves.points(buf)) {
                         self.census.occupancy_changed(depth, old, old + 1);
                     } else {
                         // Push, then split, as the boxed tree does: the
@@ -541,7 +608,7 @@ impl<D: Decomposition> ArenaTree<D> {
                         let mut run = std::mem::take(&mut self.scratch);
                         self.leaves.take_into(buf, &mut run);
                         self.census.leaf_removed(depth, old);
-                        self.rebuild(slot, block, depth, &mut run);
+                        self.rebuild_slot(slot, block, depth, &mut run);
                         self.scratch = run;
                     }
                     break;
@@ -549,17 +616,6 @@ impl<D: Decomposition> ArenaTree<D> {
             }
         }
         self.len += 1;
-    }
-
-    /// The PR rule: a block at `depth` holding `pts` is a leaf when the
-    /// points fit, when `max_depth` allows no split, or when they all
-    /// coincide (no split separates them).
-    fn is_leaf(&self, depth: u32, pts: &[D::Point]) -> bool {
-        pts.len() <= self.capacity
-            || depth >= self.max_depth
-            || pts
-                .split_first()
-                .is_none_or(|(first, rest)| rest.iter().all(|q| q == first))
     }
 
     /// Fills an empty tree from an insertion-order point vector in one
@@ -597,58 +653,106 @@ impl<D: Decomposition> ArenaTree<D> {
         }
         self.census.leaf_removed(0, 0);
         self.len = points.len();
-        self.rebuild(ROOT, self.region, 0, &mut points);
-        // The work area grew to the whole input; keep none of it.
-        self.work = Vec::new();
+        let (rule, region) = (self.rule, self.region);
+        // The work area grows to the whole input, so it is not kept.
+        Self::rebuild(rule, self, ROOT, region, 0, &mut points, &mut Vec::new());
     }
 
-    /// Builds the subtree of `block`, at `slot` and `depth`, from `run`:
-    /// the block's points in insertion order, with the block's old node
-    /// already taken out of the leaf pool and the census. A run that
-    /// makes a leaf goes straight to its buffer; only a split sizes the
-    /// reused work area.
-    fn rebuild(&mut self, slot: u32, block: D::Block, depth: u32, run: &mut [D::Point]) {
-        if self.is_leaf(depth, run) {
-            self.place_leaf(slot, depth, run);
-            return;
+    /// The census [`ArenaTree::bulk_fill`] of `points` leaves in a tree
+    /// over `region` with `capacity` and `max_depth`, from the same
+    /// builder with the census for its sink: no slot, leaf buffer or
+    /// point copy is made. The caller validates the points as for a
+    /// bulk fill.
+    pub(crate) fn census_of(
+        region: D::Block,
+        capacity: usize,
+        max_depth: u32,
+        mut points: Vec<D::Point>,
+    ) -> OccupancyCensus {
+        const { assert!(D::BRANCHING <= MAX_BULK_BRANCHING) };
+        let rule = PrRule {
+            capacity,
+            max_depth,
+        };
+        let mut census = OccupancyCensus::new();
+        Self::rebuild(
+            rule,
+            &mut census,
+            ROOT,
+            region,
+            0,
+            &mut points,
+            &mut Vec::new(),
+        );
+        census
+    }
+
+    /// Allocates `BRANCHING` contiguous child slots *without* leaf
+    /// buffers (reusing a freed block when possible). Only the tree's
+    /// [`BlockSink::place_internal`] calls it, and the builder writes
+    /// every slot of the block before the tree is used — the
+    /// placeholder is never a live node.
+    #[inline]
+    fn alloc_block_bare(&mut self) -> u32 {
+        if let Some(b) = self.free_blocks.pop() {
+            b
+        } else {
+            let b = self.slots.len() as u32;
+            for _ in 0..D::BRANCHING {
+                self.slots.push(Slot::Leaf(NO_SPILL));
+            }
+            b
         }
+    }
+
+    /// [`ArenaTree::rebuild`] into this tree, with its reused work area.
+    fn rebuild_slot(&mut self, slot: u32, block: D::Block, depth: u32, run: &mut [D::Point]) {
         let mut work = std::mem::take(&mut self.work);
-        work.resize(run.len(), D::Point::default());
-        self.bulk_rec(slot, block, depth, run, &mut work);
+        Self::rebuild(self.rule, self, slot, block, depth, run, &mut work);
         self.work = work;
     }
 
-    /// Makes `slot` a leaf at `depth` holding `pts`: one buffer, filled
-    /// by one slice copy, and one census record.
-    fn place_leaf(&mut self, slot: u32, depth: u32, pts: &[D::Point]) {
-        self.census.leaf_added(depth, pts.len());
-        let buf = self.leaves.alloc_filled(pts);
-        if let Some(s) = self.slots.get_mut(slot as usize) {
-            *s = Slot::Leaf(buf);
+    /// Builds the subtree of `block`, at `slot` and `depth`, from `run`
+    /// into `sink`: `run` is the block's points in insertion order, and
+    /// a tree sink has already taken the block's old node out of its
+    /// leaf pool and census. A run that makes a leaf goes straight to
+    /// the sink; only a split sizes `work`.
+    fn rebuild<S: BlockSink<D::Point>>(
+        rule: PrRule,
+        sink: &mut S,
+        slot: u32,
+        block: D::Block,
+        depth: u32,
+        run: &mut [D::Point],
+        work: &mut Vec<D::Point>,
+    ) {
+        if rule.is_leaf(depth, run) {
+            sink.place_leaf(slot, depth, run);
+            return;
         }
+        work.resize(run.len(), D::Point::default());
+        Self::bulk_rec(rule, sink, slot, block, depth, run, work);
     }
 
     /// The arena's one subtree builder, behind [`ArenaTree::rebuild`]:
     /// splits `block`, at `slot` and `depth`, over `pts`, its points in
     /// insertion order, with `work` an equally sized work area. The
-    /// split gets a bare slot block and partitions `pts` into `work`;
-    /// each child run there is placed as a leaf or split in turn, with
-    /// the matching stretch of `pts` as its work area, so the two
-    /// buffers alternate level by level and nothing is copied back.
-    /// Nothing is allocated for a block before it is decided leaf or
-    /// split (DESIGN.md §9).
-    fn bulk_rec(
-        &mut self,
+    /// split gets a bare child block from the sink and partitions `pts`
+    /// into `work`; each child run there is placed as a leaf or split
+    /// in turn, with the matching stretch of `pts` as its work area, so
+    /// the two buffers alternate level by level and nothing is copied
+    /// back. The sink gets nothing for a block before it is decided
+    /// leaf or split (DESIGN.md §9).
+    fn bulk_rec<S: BlockSink<D::Point>>(
+        rule: PrRule,
+        sink: &mut S,
         slot: u32,
         block: D::Block,
         depth: u32,
         pts: &mut [D::Point],
         work: &mut [D::Point],
     ) {
-        let base = self.alloc_block_bare();
-        if let Some(s) = self.slots.get_mut(slot as usize) {
-            *s = Slot::Internal(base);
-        }
+        let base = sink.place_internal(slot);
 
         // Stable partition of the run into child runs: count, prefix-sum,
         // scatter into the work area. Two streaming classify passes, no
@@ -683,30 +787,12 @@ impl<D: Decomposition> ArenaTree<D> {
             };
             lo = hi;
             let child = base + i as u32;
-            if self.is_leaf(depth + 1, run) {
-                self.place_leaf(child, depth + 1, run);
+            if rule.is_leaf(depth + 1, run) {
+                sink.place_leaf(child, depth + 1, run);
             } else {
                 let child_block = D::child_block(&block, depth, i);
-                self.bulk_rec(child, child_block, depth + 1, run, child_work);
+                Self::bulk_rec(rule, sink, child, child_block, depth + 1, run, child_work);
             }
-        }
-    }
-
-    /// Allocates `BRANCHING` contiguous child slots *without* leaf
-    /// buffers (reusing a freed block when possible). Only
-    /// [`ArenaTree::bulk_rec`] calls it, and it writes every slot of the
-    /// block before the tree is used — the placeholder is never a live
-    /// node.
-    #[inline]
-    fn alloc_block_bare(&mut self) -> u32 {
-        if let Some(b) = self.free_blocks.pop() {
-            b
-        } else {
-            let b = self.slots.len() as u32;
-            for _ in 0..D::BRANCHING {
-                self.slots.push(Slot::Leaf(NO_SPILL));
-            }
-            b
         }
     }
 
@@ -764,7 +850,7 @@ impl<D: Decomposition> ArenaTree<D> {
                 Slot::Internal(_) => return,
             }
         }
-        if total > self.capacity {
+        if total > self.rule.capacity {
             let mut first = None;
             for kid in kids {
                 let Slot::Leaf(buf) = *kid else { return };
@@ -785,7 +871,7 @@ impl<D: Decomposition> ArenaTree<D> {
             }
         }
         self.free_blocks.push(base);
-        self.rebuild(slot, block, depth, &mut run);
+        self.rebuild_slot(slot, block, depth, &mut run);
         self.scratch = run;
     }
 
@@ -871,17 +957,17 @@ impl<D: Decomposition> ArenaTree<D> {
                     "point {p} stored in leaf {block:?} that does not contain it"
                 );
             }
-            if points.len() > self.capacity {
+            if points.len() > self.rule.capacity {
                 let first = points[0];
                 let coincident = points.iter().all(|q| *q == first);
                 assert!(
-                    depth >= self.max_depth || coincident,
+                    depth >= self.rule.max_depth || coincident,
                     "leaf at depth {depth} holds {} > capacity {} without cause",
                     points.len(),
-                    self.capacity
+                    self.rule.capacity
                 );
             }
-            assert!(depth <= self.max_depth, "leaf deeper than max_depth");
+            assert!(depth <= self.rule.max_depth, "leaf deeper than max_depth");
         });
         assert_eq!(total, self.len, "stored point count mismatch");
         assert_eq!(
@@ -1097,8 +1183,9 @@ mod tests {
     }
 
     /// Bulk-fills and sequentially inserts `pts`, asserts the two trees
-    /// are the same, and that the bulk build made one leaf buffer per
-    /// leaf, in pre-order, and freed none. Returns `(bulk, sequential)`.
+    /// are the same, that the bulk build made one leaf buffer per leaf,
+    /// in pre-order, and freed none, and that `census_of` gives the
+    /// bulk build's census. Returns `(bulk, sequential)`.
     fn bulk_and_sequential<D: Decomposition>(
         region: D::Block,
         capacity: usize,
@@ -1114,6 +1201,8 @@ mod tests {
         bulk.check_invariants();
         let what = format!("m={capacity} max_depth={max_depth} n={}", pts.len());
         assert_same_tree(&bulk, &seq, &what);
+        let census = ArenaTree::<D>::census_of(region, capacity, max_depth, pts.to_vec());
+        assert_eq!(&census, bulk.census(), "{what}: census_of");
         if !pts.is_empty() {
             let mut bufs = Vec::new();
             leaf_bufs(&bulk, ROOT, &mut bufs);
@@ -1145,13 +1234,15 @@ mod tests {
 
     /// Spread points, then a coincident pile longer than any stride the
     /// capacities below use (so it spills), a near-duplicate pair only
-    /// `max_depth` separates, and a point by the far corner.
+    /// `max_depth` separates, a point by the far corner, and a diagonal
+    /// run on a 2⁻²⁹ grid that only blocks 29 levels down separate.
     fn messy<const K: usize>() -> Vec<[f64; K]> {
         let mut pts = spread::<K>(80);
         pts.extend([[0.123; K]; 12]);
         pts.push([0.777; K]);
         pts.push([0.777 + 1e-12; K]);
         pts.push([0.9999; K]);
+        pts.extend((0..6).map(|i| [0.375 + f64::from(i) * 2f64.powi(-29); K]));
         pts
     }
 

@@ -10,8 +10,10 @@
 //! census, like every regular-decomposition tree in this crate.
 
 use crate::arena::{ArenaTree, BinDecomp};
-use crate::node_stats::{DepthOccupancyTable, LeafRecord, OccupancyInstrumented, OccupancyProfile};
-use crate::pr_quadtree::{validate_points, TreeError};
+use crate::node_stats::{
+    DepthOccupancyTable, LeafRecord, OccupancyCensus, OccupancyInstrumented, OccupancyProfile,
+};
+use crate::pr_quadtree::{check_capacity, check_point, validate_points, TreeError};
 use popan_geom::{Point2, Rect};
 
 /// Default depth limit. A bintree halves area every *two* levels, so it
@@ -28,11 +30,7 @@ impl Bintree {
     /// Creates an empty bintree over `region` with node capacity
     /// `capacity`.
     pub fn new(region: Rect, capacity: usize) -> Result<Self, TreeError> {
-        if capacity == 0 {
-            return Err(TreeError::InvalidParameter(
-                "node capacity must be at least 1".into(),
-            ));
-        }
+        check_capacity(capacity)?;
         Ok(Bintree {
             tree: ArenaTree::new(region, capacity, DEFAULT_MAX_DEPTH),
         })
@@ -47,6 +45,26 @@ impl Bintree {
         let mut t = Self::new(region, capacity)?;
         t.tree.bulk_fill(validate_points(&region, points)?);
         Ok(t)
+    }
+
+    /// The occupancy census of [`build`](Self::build) over the same
+    /// arguments, without the tree (see
+    /// [`PrQuadtree::census_of`](crate::PrQuadtree::census_of)).
+    pub fn census_of(
+        region: Rect,
+        capacity: usize,
+        points: Vec<Point2>,
+    ) -> Result<OccupancyCensus, TreeError> {
+        check_capacity(capacity)?;
+        for &p in &points {
+            check_point(&region, p)?;
+        }
+        Ok(ArenaTree::<BinDecomp>::census_of(
+            region,
+            capacity,
+            DEFAULT_MAX_DEPTH,
+            points,
+        ))
     }
 
     /// The region covered.

@@ -17,7 +17,7 @@
 //!   comparison-based member of Devroye's split-tree family
 //!   (`SplitSpec::mary_search_tree` in `popan-core`), with the same
 //!   census integration as the spatial trees plus total-path-length
-//!   accounting over pivots.
+//!   accounting over pivots ([`MaryCensus`]).
 //! * [`PmrQuadtree`] — the PMR quadtree for line segments (split-once
 //!   rule), subject of the paper's companion analysis \[Nels86a/b\].
 //! * [`node_stats`] — occupancy profiles, per-depth tables, and the
@@ -61,7 +61,7 @@ pub use linear_quadtree::{
     knn_cmp, BoundedOutcome, CostBudget, FreezeError, LinearQuadtree, QueryCost, QueryScratch,
     SectionDigests, SlabFootprint, SnapshotSection,
 };
-pub use mary_tree::MarySearchTree;
+pub use mary_tree::{MaryCensus, MarySearchTree};
 pub use node_stats::{
     DepthOccupancyTable, LeafRecord, OccupancyCensus, OccupancyInstrumented, OccupancyProfile,
 };

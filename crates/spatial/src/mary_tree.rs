@@ -22,9 +22,12 @@
 //! node, so a node is a small `Copy` header and a split grows two
 //! vectors by one block, with no allocation per node.
 //! Unlike the spatial trees, items also live at internal nodes (the
-//! pivots); the tree tracks their count and path length so
+//! pivots); the tree tracks their count and path length in a
+//! [`MaryCensus`] beside the occupancy census, so
 //! [`MarySearchTree::total_path_length`] reports the full
 //! Broutin–Holmgren `Υ_n` over *all* stored keys.
+//! [`MarySearchTree::census_of`] computes the census a build reaches
+//! without the tree.
 
 use crate::node_stats::{
     DepthOccupancyTable, LeafRecord, OccupancyCensus, OccupancyInstrumented, OccupancyProfile,
@@ -57,12 +60,133 @@ pub struct MarySearchTree {
     /// The key slab: node `id` owns slots `id·(b−1) .. (id+1)·(b−1)`,
     /// and its first `len` slots hold its keys in sorted order.
     keys: Vec<u64>,
+    stats: MaryCensus,
+}
+
+/// An m-ary search tree's census: the leaves' occupancy census, the key
+/// count and the keys frozen as pivots at internal nodes — all that the
+/// tree's depth observables read. A [`MarySearchTree`] keeps one up to
+/// date; [`MarySearchTree::census_of`] gives the one a build reaches,
+/// without the tree.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MaryCensus {
     census: OccupancyCensus,
     len: usize,
     /// Keys frozen as pivots at internal nodes.
     pivot_count: usize,
     /// Σ depth over pivot keys — the internal-node share of `Υ_n`.
     pivot_path: u64,
+}
+
+impl MaryCensus {
+    /// The census of `len` keys before any node is recorded.
+    fn with_len(len: usize) -> Self {
+        MaryCensus {
+            census: OccupancyCensus::new(),
+            len,
+            pivot_count: 0,
+            pivot_path: 0,
+        }
+    }
+
+    /// Number of keys frozen as pivots at internal nodes.
+    pub fn pivot_count(&self) -> usize {
+        self.pivot_count
+    }
+
+    /// Records `count` keys frozen as pivots at `depth`.
+    fn freeze_pivots(&mut self, depth: u32, count: usize) {
+        self.pivot_count += count;
+        self.pivot_path += u64::from(depth) * count as u64;
+    }
+
+    /// The occupancy profile over leaf buffers.
+    pub fn occupancy_profile(&self) -> &OccupancyProfile {
+        self.census.profile()
+    }
+
+    /// The per-depth occupancy table of the leaves.
+    pub fn depth_table(&self) -> &DepthOccupancyTable {
+        self.census.depth_table()
+    }
+
+    /// Total path length `Υ_n = Σ depth(key)` over *all* keys: the
+    /// pivots' share plus the buffered keys' share from the occupancy
+    /// census — the Broutin–Holmgren quantity.
+    pub fn total_path_length(&self) -> u64 {
+        self.pivot_path + self.census.depth_table().total_item_path_length()
+    }
+
+    /// Average depth of a key (0 when there are none).
+    pub fn average_key_depth(&self) -> f64 {
+        if self.len == 0 {
+            0.0
+        } else {
+            self.total_path_length() as f64 / self.len as f64
+        }
+    }
+
+    /// Expected depth at which the *next* uniformly random key would be
+    /// buffered — Holmgren's `D_n`, computed exactly from the census.
+    ///
+    /// The `n` keys cut the key space into `n + 1` gaps; a leaf
+    /// buffering `j` keys spans `j + 1` of them, so the next key lands
+    /// in it with probability `(j + 1)/(n + 1)`:
+    /// `E[D] = Σ_d d·(items_at(d) + leaves_at(d)) / (n + 1)`.
+    pub fn expected_insertion_depth(&self) -> f64 {
+        let t = self.census.depth_table();
+        let weighted: u64 = (0..=t.max_depth().unwrap_or(0))
+            .map(|d| u64::from(d) * (t.items_at(d) + t.leaves_at(d)))
+            .sum();
+        weighted as f64 / (self.len as f64 + 1.0)
+    }
+}
+
+/// Where the partition build sends each node it decides: the tree
+/// (nodes, key slab and census) or a [`MaryCensus`] alone.
+trait KeySink {
+    /// Node `id` at `depth` is a leaf holding `keys`, in arrival order.
+    fn key_leaf(&mut self, id: usize, depth: u32, keys: &[u64]);
+    /// Node `id` at `depth` is internal over the sorted `pivots`;
+    /// returns the id of its first child (the children's are
+    /// contiguous).
+    fn key_split(&mut self, id: usize, depth: u32, pivots: &[u64]) -> usize;
+}
+
+/// The census alone. It has no nodes, so every child id it hands out
+/// is 0.
+impl KeySink for MaryCensus {
+    fn key_leaf(&mut self, _id: usize, depth: u32, keys: &[u64]) {
+        self.census.leaf_added(depth, keys.len());
+    }
+
+    fn key_split(&mut self, _id: usize, depth: u32, pivots: &[u64]) -> usize {
+        self.freeze_pivots(depth, pivots.len());
+        0
+    }
+}
+
+/// The tree: the node's keys go to its slab slots, a split appends its
+/// children, and the census records both.
+impl KeySink for MarySearchTree {
+    fn key_leaf(&mut self, id: usize, depth: u32, keys: &[u64]) {
+        let cap = self.branch - 1;
+        let held = &mut self.keys[id * cap..][..keys.len()];
+        held.copy_from_slice(keys);
+        held.sort_unstable();
+        self.nodes[id].len = keys.len() as u32;
+        self.stats.key_leaf(id, depth, keys);
+    }
+
+    fn key_split(&mut self, id: usize, depth: u32, pivots: &[u64]) -> usize {
+        let cap = self.branch - 1;
+        let base = self.add_nodes(self.branch, depth + 1);
+        self.keys[id * cap..][..cap].copy_from_slice(pivots);
+        self.nodes[id].len = cap as u32;
+        self.nodes[id].children = base as u32;
+        self.stats.key_split(id, depth, pivots);
+        base
+    }
 }
 
 impl MarySearchTree {
@@ -77,20 +201,23 @@ impl MarySearchTree {
     /// A tree with no nodes and an empty census; `new` and `build` add
     /// the root.
     fn without_nodes(branch: usize) -> Result<Self, TreeError> {
+        Self::check_branch(branch)?;
+        Ok(MarySearchTree {
+            branch,
+            nodes: Vec::new(),
+            keys: Vec::new(),
+            stats: MaryCensus::with_len(0),
+        })
+    }
+
+    /// Fails unless `branch ≥ 2`.
+    fn check_branch(branch: usize) -> Result<(), TreeError> {
         if branch < 2 {
             return Err(TreeError::InvalidParameter(
                 "branch factor must be at least 2".into(),
             ));
         }
-        Ok(MarySearchTree {
-            branch,
-            nodes: Vec::new(),
-            keys: Vec::new(),
-            census: OccupancyCensus::new(),
-            len: 0,
-            pivot_count: 0,
-            pivot_path: 0,
-        })
+        Ok(())
     }
 
     /// Builds the tree that [`new`](Self::new) followed by
@@ -116,59 +243,76 @@ impl MarySearchTree {
     /// in pre-order.
     pub fn build(branch: usize, keys: impl IntoIterator<Item = u64>) -> Result<Self, TreeError> {
         let mut tree = Self::without_nodes(branch)?;
+        let run: Vec<u64> = keys.into_iter().collect();
+        tree.stats.len = run.len();
+        tree.add_nodes(1, 0);
+        Self::partition(branch, &mut tree, run);
+        Ok(tree)
+    }
+
+    /// The census of [`build`](Self::build) over the same arguments,
+    /// without the tree: the same partition runs with the census for
+    /// its sink, so no node or key slab is made and each node's pivots
+    /// are sorted in one reused buffer. For the drivers that read only
+    /// a census. Fails as `build` does.
+    pub fn census_of(branch: usize, keys: Vec<u64>) -> Result<MaryCensus, TreeError> {
+        Self::check_branch(branch)?;
+        let mut census = MaryCensus::with_len(keys.len());
+        Self::partition(branch, &mut census, keys);
+        Ok(census)
+    }
+
+    /// The partition behind [`build`](Self::build) and
+    /// [`census_of`](Self::census_of): decides the root over `run`, its
+    /// children over their runs, and so on, sending each node to
+    /// `sink`.
+    fn partition(branch: usize, sink: &mut impl KeySink, mut run: Vec<u64>) {
         let cap = branch - 1;
-        let mut run: Vec<u64> = keys.into_iter().collect();
         let mut other = vec![0u64; run.len()];
         let mut offsets = vec![0usize; branch + 1];
-        tree.len = run.len();
-        tree.add_nodes(1, 0);
-        // (node id, its run's bounds, whether the run sits in `other`)
-        let mut stack = vec![(0usize, 0usize, run.len(), false)];
-        while let Some((id, lo, hi, in_other)) = stack.pop() {
+        let mut pivots = vec![0u64; cap];
+        // (node id, depth, its run's bounds, whether the run sits in
+        // `other`)
+        let mut stack = vec![(0usize, 0u32, 0usize, run.len(), false)];
+        while let Some((id, depth, lo, hi, in_other)) = stack.pop() {
             let (src, dst) = if in_other {
                 (&other[lo..hi], &mut run[lo..hi])
             } else {
                 (&run[lo..hi], &mut other[lo..hi])
             };
-            let depth = tree.nodes[id].depth;
-            let slots = &mut tree.keys[id * cap..][..cap];
             if src.len() <= cap {
-                let held = &mut slots[..src.len()];
-                held.copy_from_slice(src);
-                held.sort_unstable();
-                tree.nodes[id].len = src.len() as u32;
-                tree.census.leaf_added(depth, src.len());
+                sink.key_leaf(id, depth, src);
                 continue;
             }
             let (first, rest) = src.split_at(cap);
-            slots.copy_from_slice(first);
-            slots.sort_unstable();
-            let pivots = &*slots;
+            pivots.copy_from_slice(first);
+            pivots.sort_unstable();
             offsets.fill(0);
             for &key in rest {
-                offsets[Self::route(pivots, key) + 1] += 1;
+                offsets[Self::route(&pivots, key) + 1] += 1;
             }
             for c in 1..branch {
                 offsets[c] += offsets[c - 1];
             }
             let dst = &mut dst[cap..];
             for &key in rest {
-                let at = &mut offsets[Self::route(pivots, key)];
+                let at = &mut offsets[Self::route(&pivots, key)];
                 dst[*at] = key;
                 *at += 1;
             }
             // `offsets[c]` is now where child c's run ends.
-            let base = tree.add_nodes(branch, depth + 1);
-            tree.nodes[id].len = cap as u32;
-            tree.nodes[id].children = base as u32;
-            tree.pivot_count += cap;
-            tree.pivot_path += u64::from(depth) * cap as u64;
+            let base = sink.key_split(id, depth, &pivots);
             for c in (0..branch).rev() {
                 let start = if c == 0 { 0 } else { offsets[c - 1] };
-                stack.push((base + c, lo + cap + start, lo + cap + offsets[c], !in_other));
+                stack.push((
+                    base + c,
+                    depth + 1,
+                    lo + cap + start,
+                    lo + cap + offsets[c],
+                    !in_other,
+                ));
             }
         }
-        Ok(tree)
     }
 
     /// Branch factor `b`.
@@ -178,17 +322,17 @@ impl MarySearchTree {
 
     /// Number of stored keys (pivots + leaf buffers).
     pub fn len(&self) -> usize {
-        self.len
+        self.stats.len
     }
 
     /// `true` when no keys are stored.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.stats.len == 0
     }
 
     /// Number of keys frozen as pivots at internal nodes.
     pub fn pivot_count(&self) -> usize {
-        self.pivot_count
+        self.stats.pivot_count()
     }
 
     /// Total node count (internal + leaf).
@@ -198,18 +342,19 @@ impl MarySearchTree {
 
     /// Leaf count, served from the maintained census: O(1).
     pub fn leaf_count(&self) -> usize {
-        self.census.leaf_count()
+        self.stats.census.leaf_count()
     }
 
     /// Deepest leaf depth (0 for the fresh root-only tree).
     pub fn height(&self) -> u32 {
-        self.census.depth_table().max_depth().unwrap_or(0)
+        self.stats.depth_table().max_depth().unwrap_or(0)
     }
 
     /// Child index for `key` among sorted `pivots`: equal keys go right.
     /// A count rather than a binary search: there are at most `b − 1`
     /// pivots, and the count compiles to compares without branches.
-    /// Always inlined, since `build` calls it twice per key per level.
+    /// Always inlined, since the partition calls it twice per key per
+    /// level.
     #[inline(always)]
     fn route(pivots: &[u64], key: u64) -> usize {
         pivots.iter().filter(|&&p| p <= key).count()
@@ -235,7 +380,7 @@ impl MarySearchTree {
     fn add_leaves(&mut self, count: usize, depth: u32) -> usize {
         let base = self.add_nodes(count, depth);
         for _ in 0..count {
-            self.census.leaf_added(depth, 0);
+            self.stats.census.leaf_added(depth, 0);
         }
         base
     }
@@ -261,20 +406,19 @@ impl MarySearchTree {
             slots.copy_within(at..occ, at + 1);
             slots[at] = key;
             self.nodes[id].len += 1;
-            self.census.occupancy_changed(depth, occ, occ + 1);
+            self.stats.census.occupancy_changed(depth, occ, occ + 1);
         } else {
             // Split: the buffer freezes into pivots, b children appear.
             let child = Self::route(slots, key);
-            self.census.leaf_removed(depth, occ);
-            self.pivot_count += occ;
-            self.pivot_path += u64::from(depth) * occ as u64;
+            self.stats.census.leaf_removed(depth, occ);
+            self.stats.freeze_pivots(depth, occ);
             let base = self.add_leaves(self.branch, depth + 1);
             self.nodes[id].children = base as u32;
             self.nodes[base + child].len = 1;
             self.keys[(base + child) * cap] = key;
-            self.census.occupancy_changed(depth + 1, 0, 1);
+            self.stats.census.occupancy_changed(depth + 1, 0, 1);
         }
-        self.len += 1;
+        self.stats.len += 1;
     }
 
     /// `true` when an exactly equal key is stored (as pivot or buffered).
@@ -302,7 +446,7 @@ impl MarySearchTree {
 
     /// All stored keys in sorted (in-order) order.
     pub fn keys(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.len);
+        let mut out = Vec::with_capacity(self.len());
         // Explicit stack of (node id, next in-order slot). Slots at an
         // internal node alternate child 0, pivot 0, child 1, …, child b−1.
         let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
@@ -341,44 +485,32 @@ impl MarySearchTree {
     /// The occupancy profile over leaf buffers, maintained
     /// incrementally — a zero-allocation, zero-traversal read.
     pub fn occupancy_profile(&self) -> &OccupancyProfile {
-        self.census.profile()
+        self.stats.occupancy_profile()
     }
 
     /// The per-depth occupancy table, maintained incrementally — a
     /// zero-allocation, zero-traversal read.
     pub fn depth_table(&self) -> &DepthOccupancyTable {
-        self.census.depth_table()
+        self.stats.depth_table()
     }
 
-    /// Total path length `Υ_n = Σ depth(key)` over *all* stored keys:
-    /// the pivots' share (tracked at split time) plus the buffered
-    /// keys' share from the census — the Broutin–Holmgren quantity.
+    /// Total path length `Υ_n` over all stored keys
+    /// ([`MaryCensus::total_path_length`]).
     pub fn total_path_length(&self) -> u64 {
-        self.pivot_path + self.census.depth_table().total_item_path_length()
+        self.stats.total_path_length()
     }
 
-    /// Average depth of a stored key (0 for an empty tree).
+    /// Average depth of a stored key, 0 for an empty tree
+    /// ([`MaryCensus::average_key_depth`]).
     pub fn average_key_depth(&self) -> f64 {
-        if self.len == 0 {
-            0.0
-        } else {
-            self.total_path_length() as f64 / self.len as f64
-        }
+        self.stats.average_key_depth()
     }
 
     /// Expected depth at which the *next* uniformly random key would be
-    /// buffered — Holmgren's `D_n`, computed exactly from the census.
-    ///
-    /// The `n` stored keys cut the key space into `n + 1` gaps; a leaf
-    /// buffering `j` keys spans `j + 1` of them, so the next key lands
-    /// in it with probability `(j + 1)/(n + 1)`:
-    /// `E[D] = Σ_d d·(items_at(d) + leaves_at(d)) / (n + 1)`.
+    /// buffered — Holmgren's `D_n`
+    /// ([`MaryCensus::expected_insertion_depth`]).
     pub fn expected_insertion_depth(&self) -> f64 {
-        let t = self.census.depth_table();
-        let weighted: u64 = (0..=t.max_depth().unwrap_or(0))
-            .map(|d| u64::from(d) * (t.items_at(d) + t.leaves_at(d)))
-            .sum();
-        weighted as f64 / (self.len as f64 + 1.0)
+        self.stats.expected_insertion_depth()
     }
 
     /// Verifies structural invariants; panics on violation.
@@ -443,17 +575,20 @@ impl MarySearchTree {
             self.nodes.len(),
             "a node outside every child block"
         );
-        assert_eq!(pivots, self.pivot_count, "pivot count drifted");
-        assert_eq!(pivot_path, self.pivot_path, "pivot path length drifted");
-        assert_eq!(pivots + leaf_keys, self.len, "key count drifted");
+        assert_eq!(pivots, self.stats.pivot_count, "pivot count drifted");
+        assert_eq!(
+            pivot_path, self.stats.pivot_path,
+            "pivot path length drifted"
+        );
+        assert_eq!(pivots + leaf_keys, self.len(), "key count drifted");
         let records = self.leaf_records();
         assert_eq!(
-            self.census,
+            self.stats.census,
             OccupancyCensus::from_leaves(&records),
             "incremental census drifted from traversal rebuild"
         );
         let keys = self.keys();
-        assert_eq!(keys.len(), self.len, "in-order enumeration lost keys");
+        assert_eq!(keys.len(), self.len(), "in-order enumeration lost keys");
         assert!(
             keys.windows(2).all(|w| w[0] <= w[1]),
             "in-order enumeration not sorted"
@@ -471,11 +606,11 @@ impl OccupancyInstrumented for MarySearchTree {
     }
 
     fn occupancy_profile(&self) -> OccupancyProfile {
-        self.census.profile().clone()
+        self.stats.occupancy_profile().clone()
     }
 
     fn depth_table(&self) -> DepthOccupancyTable {
-        self.census.depth_table().clone()
+        self.stats.depth_table().clone()
     }
 }
 
@@ -665,7 +800,7 @@ mod proptests {
         keys: &[u64],
     ) -> Result<(), TestCaseError> {
         built.check_invariants();
-        prop_assert_eq!(&built.census, &inserted.census);
+        prop_assert_eq!(&built.stats.census, &inserted.stats.census);
         prop_assert_eq!(built.occupancy_profile(), inserted.occupancy_profile());
         prop_assert_eq!(built.depth_table(), inserted.depth_table());
         prop_assert_eq!(built.len(), inserted.len());
@@ -696,24 +831,53 @@ mod proptests {
         Ok(())
     }
 
+    /// [`MarySearchTree::census_of`] over `keys` equals `built`'s census
+    /// (occupancy census, key and pivot counts, pivot path) and gives
+    /// the same `expected_insertion_depth` bits.
+    fn same_census(census: &MaryCensus, built: &MarySearchTree) -> Result<(), TestCaseError> {
+        prop_assert_eq!(census, &built.stats);
+        prop_assert_eq!(
+            census.expected_insertion_depth().to_bits(),
+            built.expected_insertion_depth().to_bits()
+        );
+        Ok(())
+    }
+
     #[test]
     fn ascending_chain_builds_on_a_small_stack() {
         // b = 2 over ascending keys is a chain 4,999 levels deep: a build
-        // that recursed once per level would overflow 256 KiB.
+        // or a census that recursed once per level would overflow
+        // 256 KiB.
         let keys: Vec<u64> = (0..5000).collect();
-        let built = std::thread::Builder::new()
+        let (built, census) = std::thread::Builder::new()
             .stack_size(256 * 1024)
             .spawn({
                 let keys = keys.clone();
-                move || MarySearchTree::build(2, keys).unwrap()
+                move || {
+                    (
+                        MarySearchTree::build(2, keys.iter().copied()).unwrap(),
+                        MarySearchTree::census_of(2, keys).unwrap(),
+                    )
+                }
             })
             .unwrap()
             .join()
-            .expect("the build runs in constant stack");
+            .expect("the build and the census run in constant stack");
         assert_eq!(built.height(), 4999);
         // Membership is probed at both ends and the middle: each probe
         // walks the chain.
         same_tree(&built, &insert_loop(2, &keys), &[0, 2500, 4999]).unwrap();
+        same_census(&census, &built).unwrap();
+    }
+
+    #[test]
+    fn census_of_rejects_what_build_rejects() {
+        for branch in [0, 1] {
+            assert_eq!(
+                MarySearchTree::census_of(branch, vec![1, 2, 3]).unwrap_err(),
+                MarySearchTree::build(branch, [1, 2, 3]).unwrap_err()
+            );
+        }
     }
 
     proptest! {
@@ -728,6 +892,7 @@ mod proptests {
             for keys in [narrow, wide, ascending] {
                 let built = MarySearchTree::build(branch, keys.iter().copied()).unwrap();
                 same_tree(&built, &insert_loop(branch, &keys), &keys)?;
+                same_census(&MarySearchTree::census_of(branch, keys.clone()).unwrap(), &built)?;
             }
         }
 

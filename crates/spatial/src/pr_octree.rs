@@ -10,12 +10,28 @@
 //! are zero-allocation and traversal-free.
 
 use crate::arena::{ArenaTree, OctDecomp};
-use crate::node_stats::{DepthOccupancyTable, LeafRecord, OccupancyInstrumented, OccupancyProfile};
-use crate::pr_quadtree::TreeError;
+use crate::node_stats::{
+    DepthOccupancyTable, LeafRecord, OccupancyCensus, OccupancyInstrumented, OccupancyProfile,
+};
+use crate::pr_quadtree::{check_capacity, TreeError};
 use popan_geom::{Aabb3, Point3};
 
 /// Default depth limit (see [`crate::pr_quadtree::DEFAULT_MAX_DEPTH`]).
 pub const DEFAULT_MAX_DEPTH: u32 = 32;
+
+/// `p`, when it is finite and inside `region`, in the order `build`
+/// checks.
+fn check_point(region: &Aabb3, p: Point3) -> Result<Point3, TreeError> {
+    if !p.is_finite() {
+        return Err(TreeError::NonFinitePoint);
+    }
+    if !region.contains(&p) {
+        return Err(TreeError::InvalidParameter(format!(
+            "point {p} lies outside the octree region"
+        )));
+    }
+    Ok(p)
+}
 
 /// A generalized PR octree with node capacity `m`.
 #[derive(Debug, Clone)]
@@ -26,11 +42,7 @@ pub struct PrOctree {
 impl PrOctree {
     /// Creates an empty octree over `region` with node capacity `capacity`.
     pub fn new(region: Aabb3, capacity: usize) -> Result<Self, TreeError> {
-        if capacity == 0 {
-            return Err(TreeError::InvalidParameter(
-                "node capacity must be at least 1".into(),
-            ));
-        }
+        check_capacity(capacity)?;
         Ok(PrOctree {
             tree: ArenaTree::new(region, capacity, DEFAULT_MAX_DEPTH),
         })
@@ -45,18 +57,30 @@ impl PrOctree {
         let mut t = Self::new(region, capacity)?;
         let mut pts = Vec::new();
         for p in points {
-            if !p.is_finite() {
-                return Err(TreeError::NonFinitePoint);
-            }
-            if !t.region().contains(&p) {
-                return Err(TreeError::InvalidParameter(format!(
-                    "point {p} lies outside the octree region"
-                )));
-            }
-            pts.push(p);
+            pts.push(check_point(&region, p)?);
         }
         t.tree.bulk_fill(pts);
         Ok(t)
+    }
+
+    /// The occupancy census of [`build`](Self::build) over the same
+    /// arguments, without the tree (see
+    /// [`PrQuadtree::census_of`](crate::PrQuadtree::census_of)).
+    pub fn census_of(
+        region: Aabb3,
+        capacity: usize,
+        points: Vec<Point3>,
+    ) -> Result<OccupancyCensus, TreeError> {
+        check_capacity(capacity)?;
+        for &p in &points {
+            check_point(&region, p)?;
+        }
+        Ok(ArenaTree::<OctDecomp>::census_of(
+            region,
+            capacity,
+            DEFAULT_MAX_DEPTH,
+            points,
+        ))
     }
 
     /// The region covered.

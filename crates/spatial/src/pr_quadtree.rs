@@ -30,7 +30,9 @@
 
 use crate::arena::{ArenaTree, QuadDecomp, SlotView, ROOT};
 use crate::linear_quadtree::{knn_scan_leaf, min_dist_squared};
-use crate::node_stats::{DepthOccupancyTable, LeafRecord, OccupancyInstrumented, OccupancyProfile};
+use crate::node_stats::{
+    DepthOccupancyTable, LeafRecord, OccupancyCensus, OccupancyInstrumented, OccupancyProfile,
+};
 use popan_geom::{Point2, Quadrant, Rect};
 
 /// Default depth limit: effectively unbounded for the workloads here, but
@@ -65,22 +67,38 @@ impl std::fmt::Display for TreeError {
 
 impl std::error::Error for TreeError {}
 
+/// Fails unless a PR tree's node capacity is at least 1.
+pub(crate) fn check_capacity(capacity: usize) -> Result<(), TreeError> {
+    if capacity == 0 {
+        return Err(TreeError::InvalidParameter(
+            "node capacity must be at least 1".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// `p`, when it is finite and inside `region`: the checks, in the
+/// order, that `insert` makes.
+pub(crate) fn check_point(region: &Rect, p: Point2) -> Result<Point2, TreeError> {
+    if !p.is_finite() {
+        return Err(TreeError::NonFinitePoint);
+    }
+    if !region.contains(&p) {
+        return Err(TreeError::OutOfRegion { point: p });
+    }
+    Ok(p)
+}
+
 /// Collects `points` for a bulk build over `region`, failing on the
-/// first non-finite or out-of-region point in input order — the same
-/// checks, in the same order, that sequential `insert`s would make.
+/// first point [`check_point`] rejects, in input order — the error
+/// sequential `insert`s would give.
 pub(crate) fn validate_points(
     region: &Rect,
     points: impl IntoIterator<Item = Point2>,
 ) -> Result<Vec<Point2>, TreeError> {
     let mut pts = Vec::new();
     for p in points {
-        if !p.is_finite() {
-            return Err(TreeError::NonFinitePoint);
-        }
-        if !region.contains(&p) {
-            return Err(TreeError::OutOfRegion { point: p });
-        }
-        pts.push(p);
+        pts.push(check_point(region, p)?);
     }
     Ok(pts)
 }
@@ -107,11 +125,7 @@ impl PrQuadtree {
         capacity: usize,
         max_depth: u32,
     ) -> Result<Self, TreeError> {
-        if capacity == 0 {
-            return Err(TreeError::InvalidParameter(
-                "node capacity must be at least 1".into(),
-            ));
-        }
+        check_capacity(capacity)?;
         Ok(PrQuadtree {
             tree: ArenaTree::new(region, capacity, max_depth),
         })
@@ -130,6 +144,29 @@ impl PrQuadtree {
         // instead of descending per point.
         t.tree.bulk_fill(pts);
         Ok(t)
+    }
+
+    /// The occupancy census of [`build`](Self::build) over the same
+    /// arguments, without the tree: the arena's builder runs with the
+    /// census for its sink, so no node, leaf buffer or point copy is
+    /// made. For the drivers that read only a census. Fails as `build`
+    /// does, with the same error for the same input, and checks
+    /// `points` where they lie instead of collecting them again.
+    pub fn census_of(
+        region: Rect,
+        capacity: usize,
+        points: Vec<Point2>,
+    ) -> Result<OccupancyCensus, TreeError> {
+        check_capacity(capacity)?;
+        for &p in &points {
+            check_point(&region, p)?;
+        }
+        Ok(ArenaTree::<QuadDecomp>::census_of(
+            region,
+            capacity,
+            DEFAULT_MAX_DEPTH,
+            points,
+        ))
     }
 
     /// The region covered.
@@ -344,7 +381,7 @@ impl PrQuadtree {
     }
 
     /// The full incremental census (profile + depth table + leaf count).
-    pub fn census(&self) -> &crate::node_stats::OccupancyCensus {
+    pub fn census(&self) -> &OccupancyCensus {
         self.tree.census()
     }
 

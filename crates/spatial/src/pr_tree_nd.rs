@@ -15,8 +15,10 @@
 //! children, so `D ≤ 6`: a wider tree fails to compile.
 
 use crate::arena::{ArenaTree, NdDecomp};
-use crate::node_stats::{DepthOccupancyTable, LeafRecord, OccupancyInstrumented, OccupancyProfile};
-use crate::pr_quadtree::TreeError;
+use crate::node_stats::{
+    DepthOccupancyTable, LeafRecord, OccupancyCensus, OccupancyInstrumented, OccupancyProfile,
+};
+use crate::pr_quadtree::{check_capacity, TreeError};
 use popan_geom::{BoxN, PointN};
 
 /// Default depth limit.
@@ -32,16 +34,7 @@ pub struct PrTreeNd<const D: usize> {
 impl<const D: usize> PrTreeNd<D> {
     /// Creates an empty tree over `region` with node capacity `capacity`.
     pub fn new(region: BoxN<D>, capacity: usize) -> Result<Self, TreeError> {
-        if D == 0 {
-            return Err(TreeError::InvalidParameter(
-                "dimension must be at least 1".into(),
-            ));
-        }
-        if capacity == 0 {
-            return Err(TreeError::InvalidParameter(
-                "node capacity must be at least 1".into(),
-            ));
-        }
+        Self::check_params(capacity)?;
         Ok(PrTreeNd {
             tree: ArenaTree::new(region, capacity, DEFAULT_MAX_DEPTH),
         })
@@ -56,18 +49,54 @@ impl<const D: usize> PrTreeNd<D> {
         let mut t = Self::new(region, capacity)?;
         let mut pts = Vec::new();
         for p in points {
-            if !p.is_finite() {
-                return Err(TreeError::NonFinitePoint);
-            }
-            if !t.region().contains(&p) {
-                return Err(TreeError::InvalidParameter(format!(
-                    "point {p} lies outside the tree region"
-                )));
-            }
-            pts.push(p);
+            pts.push(Self::check_point(&region, p)?);
         }
         t.tree.bulk_fill(pts);
         Ok(t)
+    }
+
+    /// The occupancy census of [`build`](Self::build) over the same
+    /// arguments, without the tree (see
+    /// [`PrQuadtree::census_of`](crate::PrQuadtree::census_of)).
+    pub fn census_of(
+        region: BoxN<D>,
+        capacity: usize,
+        points: Vec<PointN<D>>,
+    ) -> Result<OccupancyCensus, TreeError> {
+        Self::check_params(capacity)?;
+        for &p in &points {
+            Self::check_point(&region, p)?;
+        }
+        Ok(ArenaTree::<NdDecomp<D>>::census_of(
+            region,
+            capacity,
+            DEFAULT_MAX_DEPTH,
+            points,
+        ))
+    }
+
+    /// Fails unless `D ≥ 1` and `capacity ≥ 1`, in that order.
+    fn check_params(capacity: usize) -> Result<(), TreeError> {
+        if D == 0 {
+            return Err(TreeError::InvalidParameter(
+                "dimension must be at least 1".into(),
+            ));
+        }
+        check_capacity(capacity)
+    }
+
+    /// `p`, when it is finite and inside `region`, in the order `build`
+    /// checks.
+    fn check_point(region: &BoxN<D>, p: PointN<D>) -> Result<PointN<D>, TreeError> {
+        if !p.is_finite() {
+            return Err(TreeError::NonFinitePoint);
+        }
+        if !region.contains(&p) {
+            return Err(TreeError::InvalidParameter(format!(
+                "point {p} lies outside the tree region"
+            )));
+        }
+        Ok(p)
     }
 
     /// Branching factor `2^D`.
