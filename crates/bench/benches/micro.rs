@@ -7,13 +7,13 @@ use popan_bench::{criterion_group, criterion_main, Criterion};
 use popan_core::pmr_model::{PmrModel, RandomChords};
 use popan_core::{PrModel, SolveMethod, SteadyStateSolver};
 use popan_exthash::ExtendibleHashTable;
-use popan_geom::{Aabb3, Rect};
+use popan_geom::{BoxN, Rect};
 use popan_rng::rngs::StdRng;
 use popan_rng::SeedableRng;
-use popan_spatial::{Bintree, PmrQuadtree, PrOctree, PrQuadtree};
+use popan_spatial::{Bintree, PmrQuadtree, PrQuadtree, PrTreeNd};
 use popan_workload::keys::UniformKeys;
 use popan_workload::lines::{SegmentSource, UniformEndpoints};
-use popan_workload::points::{PointSource, UniformCube, UniformRect};
+use popan_workload::points::{uniform_in_box, PointSource, UniformRect};
 use std::hint::black_box;
 
 fn bench_solvers(c: &mut Criterion) {
@@ -44,7 +44,7 @@ fn bench_tree_builds(c: &mut Criterion) {
     let mut group = c.benchmark_group("tree_build_2000pts_m4");
     let mut rng = StdRng::seed_from_u64(1);
     let pts2 = UniformRect::unit().sample_n(&mut rng, 2000);
-    let pts3 = UniformCube::unit().sample_n(&mut rng, 2000);
+    let pts3 = uniform_in_box::<3>(&BoxN::unit(), &mut rng, 2000);
     group.bench_function("pr_quadtree", |b| {
         b.iter(|| PrQuadtree::build(Rect::unit(), 4, black_box(pts2.iter().copied())).unwrap())
     });
@@ -52,7 +52,7 @@ fn bench_tree_builds(c: &mut Criterion) {
         b.iter(|| Bintree::build(Rect::unit(), 4, black_box(pts2.iter().copied())).unwrap())
     });
     group.bench_function("pr_octree", |b| {
-        b.iter(|| PrOctree::build(Aabb3::unit(), 4, black_box(pts3.iter().copied())).unwrap())
+        b.iter(|| PrTreeNd::build(BoxN::unit(), 4, black_box(pts3.iter().copied())).unwrap())
     });
     group.finish();
 }

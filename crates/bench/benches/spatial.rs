@@ -6,8 +6,8 @@
 //! directly:
 //!
 //! * `build_*`: a paper-scale tree build (10⁵ uniform points) at
-//!   m ∈ {1, 8, 16}, and the bintree and octree bulk builds at m = 4
-//!   (arena only);
+//!   m ∈ {1, 8, 16}, and the bintree and octree (`PrTreeNd<3>`) bulk
+//!   builds at m = 4 (arena only);
 //! * `census_of_arena_*`: the census alone of each arena `build_*` row,
 //!   on the same input, run next to it (`census_of`, the census-only
 //!   drivers' entry), so the two rows' ratio is the saving;
@@ -25,14 +25,14 @@
 //!   churn/phasing/aging experiments.
 
 use popan_bench::{criterion_group, criterion_main, Criterion};
-use popan_geom::{Aabb3, Point2, Rect};
+use popan_geom::{BoxN, Point2, Rect};
 use popan_rng::rngs::StdRng;
 use popan_rng::{Rng, SeedableRng};
 use popan_spatial::reference::BoxedPrQuadtree;
 use popan_spatial::{
-    Bintree, LinearQuadtree, OccupancyInstrumented, OccupancyProfile, PrOctree, PrQuadtree,
+    Bintree, LinearQuadtree, OccupancyInstrumented, OccupancyProfile, PrQuadtree, PrTreeNd,
 };
-use popan_workload::points::{Clustered, PointSource, UniformCube, UniformRect};
+use popan_workload::points::{uniform_in_box, Clustered, PointSource, UniformRect};
 use std::hint::black_box;
 
 const BUILD_N: usize = 100_000;
@@ -107,17 +107,17 @@ fn bench_spatial(c: &mut Criterion) {
                 .leaf_count()
         })
     });
-    let points3 = UniformCube::unit().sample_n(&mut StdRng::seed_from_u64(1), BUILD_N);
+    let points3 = uniform_in_box::<3>(&BoxN::unit(), &mut StdRng::seed_from_u64(1), BUILD_N);
     group.bench_function("build_arena_octree_m4", |b| {
         b.iter(|| {
-            PrOctree::build(Aabb3::unit(), 4, black_box(points3.iter().copied()))
+            PrTreeNd::build(BoxN::unit(), 4, black_box(points3.iter().copied()))
                 .unwrap()
                 .len()
         })
     });
     group.bench_function("census_of_arena_octree_m4", |b| {
         b.iter(|| {
-            PrOctree::census_of(Aabb3::unit(), 4, black_box(points3.clone()))
+            PrTreeNd::census_of(BoxN::unit(), 4, black_box(points3.clone()))
                 .unwrap()
                 .leaf_count()
         })

@@ -14,7 +14,8 @@
 //! Five structures cover both halves of the family:
 //!
 //! * regular decomposition (fixed uniform `V`, `μ = ln b`): bintree
-//!   (`b = 2`), PR quadtree (`b = 4`), PR octree (`b = 8`);
+//!   (`b = 2`), PR quadtree (`b = 4`), PR octree (`b = 8`, the
+//!   `PrTreeNd<3>`);
 //! * comparison-based (Dirichlet `V`, `μ = H_b − 1`): random `m`-ary
 //!   search trees with `b = 3` and `b = 8`.
 //!
@@ -31,12 +32,12 @@ use crate::config::ExperimentConfig;
 use crate::report::TableData;
 use popan_core::SplitSpec;
 use popan_engine::{fingerprint_of, Experiment};
-use popan_geom::{Aabb3, Rect};
+use popan_geom::{BoxN, Rect};
 use popan_numeric::series::{linear_fit, LinearFit};
 use popan_rng::rngs::StdRng;
-use popan_spatial::{Bintree, DepthOccupancyTable, MarySearchTree, PrOctree, PrQuadtree};
+use popan_spatial::{Bintree, DepthOccupancyTable, MarySearchTree, PrQuadtree, PrTreeNd};
 use popan_workload::keys::UniformKeys;
-use popan_workload::points::{PointSource, UniformCube, UniformRect};
+use popan_workload::points::{uniform_in_box, PointSource, UniformRect};
 use popan_workload::{TrialRunner, Welford};
 
 /// Node capacity used for the spatial structures (matches `dims`).
@@ -210,10 +211,10 @@ impl Experiment for SplitPointExperiment {
                 measure_spatial(census.depth_table(), 4, n)
             }
             SplitStructure::Octree => {
-                let census = PrOctree::census_of(
-                    Aabb3::unit(),
+                let census = PrTreeNd::<3>::census_of(
+                    BoxN::unit(),
                     CAPACITY,
-                    UniformCube::unit().sample_n(rng, n),
+                    uniform_in_box(&BoxN::unit(), rng, n),
                 )
                 .expect("in-region points");
                 measure_spatial(census.depth_table(), 8, n)

@@ -2,10 +2,11 @@
 //!
 //! Everything the quadtree/octree/bintree substrates need:
 //!
-//! * [`Point2`] / [`Point3`] — points in the plane and in space.
+//! * [`Point2`] — points in the plane.
 //! * [`Rect`] — axis-aligned rectangles with exact *regular decomposition*
 //!   into quadrants (the PR quadtree's split operation).
-//! * [`Aabb3`] — axis-aligned boxes with octant decomposition.
+//! * [`PointN`] / [`BoxN`] — points and boxes in `D` dimensions, a box
+//!   splitting into `2^D` orthants (the octree's split at `D = 3`).
 //! * [`Interval`] — 1-D intervals with halving (bintree splits).
 //! * [`Segment2`] — line segments with rectangle-intersection tests
 //!   (Liang–Barsky clipping), the primitive stored by PMR quadtrees.
@@ -22,7 +23,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cube;
 pub mod epsilon;
 pub mod interval;
 pub mod morton;
@@ -31,9 +31,8 @@ pub mod pointn;
 pub mod rect;
 pub mod segment;
 
-pub use cube::{Aabb3, Octant};
 pub use interval::{Half, Interval};
-pub use point::{Point2, Point3};
+pub use point::Point2;
 pub use pointn::{BoxN, PointN};
 pub use rect::{Quadrant, Rect};
 pub use segment::Segment2;

@@ -1,4 +1,4 @@
-//! Points in 2 and 3 dimensions.
+//! Points in the plane.
 
 use std::fmt;
 
@@ -73,57 +73,6 @@ impl From<(f64, f64)> for Point2 {
     }
 }
 
-/// A point in 3-space.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Point3 {
-    /// X coordinate.
-    pub x: f64,
-    /// Y coordinate.
-    pub y: f64,
-    /// Z coordinate.
-    pub z: f64,
-}
-
-impl Point3 {
-    /// Creates a point.
-    pub const fn new(x: f64, y: f64, z: f64) -> Self {
-        Point3 { x, y, z }
-    }
-
-    /// The origin `(0, 0, 0)`.
-    pub const ORIGIN: Point3 = Point3::new(0.0, 0.0, 0.0);
-
-    /// Euclidean distance to `other`.
-    pub fn distance(&self, other: &Point3) -> f64 {
-        self.distance_squared(other).sqrt()
-    }
-
-    /// Squared Euclidean distance.
-    pub fn distance_squared(&self, other: &Point3) -> f64 {
-        let dx = self.x - other.x;
-        let dy = self.y - other.y;
-        let dz = self.z - other.z;
-        dx * dx + dy * dy + dz * dz
-    }
-
-    /// `true` when all coordinates are finite.
-    pub fn is_finite(&self) -> bool {
-        self.x.is_finite() && self.y.is_finite() && self.z.is_finite()
-    }
-}
-
-impl fmt::Display for Point3 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "({}, {}, {})", self.x, self.y, self.z)
-    }
-}
-
-impl From<(f64, f64, f64)> for Point3 {
-    fn from((x, y, z): (f64, f64, f64)) -> Self {
-        Point3::new(x, y, z)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,23 +113,12 @@ mod tests {
     fn finiteness() {
         assert!(Point2::new(1.0, 2.0).is_finite());
         assert!(!Point2::new(f64::NAN, 0.0).is_finite());
-        assert!(!Point3::new(0.0, f64::INFINITY, 0.0).is_finite());
     }
 
     #[test]
     fn conversions_and_display() {
         let p: Point2 = (1.5, 2.5).into();
         assert_eq!(format!("{p}"), "(1.5, 2.5)");
-        let q: Point3 = (1.0, 2.0, 3.0).into();
-        assert_eq!(format!("{q}"), "(1, 2, 3)");
-    }
-
-    #[test]
-    fn distances_3d() {
-        let a = Point3::ORIGIN;
-        let b = Point3::new(1.0, 2.0, 2.0);
-        assert_eq!(a.distance(&b), 3.0);
-        assert_eq!(a.distance_squared(&b), 9.0);
     }
 
     #[test]

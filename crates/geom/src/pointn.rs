@@ -3,7 +3,9 @@
 //! The paper: "the basic principle generalizes to 3 and higher
 //! dimensions". [`PointN`] and [`BoxN`] carry the regular decomposition
 //! to arbitrary dimension `D`, where a split produces `2^D` orthants —
-//! the `b = 2^D` instances of the generalized population model.
+//! the `b = 2^D` instances of the generalized population model. They
+//! are the only points and blocks past the plane: the octree's are
+//! `PointN<3>` and `BoxN<3>`.
 
 use std::fmt;
 

@@ -85,13 +85,7 @@ impl Bintree {
     /// Inserts a point, splitting per the PR rule with alternating axes
     /// (depth-even splits are on x, depth-odd on y).
     pub fn insert(&mut self, p: Point2) -> Result<(), TreeError> {
-        if !p.is_finite() {
-            return Err(TreeError::NonFinitePoint);
-        }
-        if !self.region().contains(&p) {
-            return Err(TreeError::OutOfRegion { point: p });
-        }
-        self.tree.insert(p);
+        self.tree.insert(check_point(&self.region(), p)?);
         Ok(())
     }
 

@@ -7,9 +7,11 @@
 //! * [`PrQuadtree`] — the generalized PR quadtree (regular decomposition,
 //!   node capacity `m`, "split until no block contains more than m
 //!   points"). The paper's primary experimental subject.
-//! * [`PrOctree`] — the same discipline in 3-D (branching factor 8).
 //! * [`Bintree`] — regular decomposition with alternating axis halving
 //!   (branching factor 2).
+//! * [`PrTreeNd`] — the same discipline in `D` dimensions (branching
+//!   factor `2^D`): `PrTreeNd<3>` is the PR octree, `PrTreeNd<4>` the
+//!   `b = 16` tree.
 //! * [`PointQuadtree`] — the classical Finkel–Bentley point quadtree,
 //!   where partitions are data-dependent (included for the paper's §II
 //!   taxonomy; it has no bucket populations, so only depth statistics).
@@ -25,10 +27,10 @@
 //! * [`visualize`] — ASCII rendering of a quadtree's block decomposition
 //!   (Figure 1).
 //!
-//! The regular-decomposition trees (`PrQuadtree`, `PrOctree`, `Bintree`,
-//! `PrTreeNd`) share one arena-backed core ([`arena`], crate-private):
-//! nodes live in a contiguous slot pool addressed by `u32` ids, points in
-//! per-leaf small buffers that spill to a shared point arena, and an
+//! The regular-decomposition trees (`PrQuadtree`, `Bintree`, `PrTreeNd`)
+//! share one arena-backed core ([`arena`], crate-private): nodes live in
+//! a contiguous slot pool addressed by `u32` ids, points in per-leaf
+//! small buffers that spill to a shared point arena, and an
 //! [`node_stats::OccupancyCensus`] is maintained incrementally so
 //! `occupancy_profile()` / `depth_table()` / `leaf_count()` are
 //! zero-allocation reads. [`reference`] keeps the original boxed
@@ -50,7 +52,6 @@ pub mod mary_tree;
 pub mod node_stats;
 pub mod pmr_quadtree;
 pub mod point_quadtree;
-pub mod pr_octree;
 pub mod pr_quadtree;
 pub mod pr_tree_nd;
 pub mod reference;
@@ -67,6 +68,5 @@ pub use node_stats::{
 };
 pub use pmr_quadtree::PmrQuadtree;
 pub use point_quadtree::PointQuadtree;
-pub use pr_octree::PrOctree;
 pub use pr_quadtree::PrQuadtree;
 pub use pr_tree_nd::PrTreeNd;

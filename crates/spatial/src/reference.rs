@@ -16,7 +16,7 @@
 //! truncation, and merge-on-underflow collapse.
 
 use crate::node_stats::{LeafRecord, OccupancyInstrumented};
-use crate::pr_quadtree::{TreeError, DEFAULT_MAX_DEPTH};
+use crate::pr_quadtree::{check_point, TreeError, DEFAULT_MAX_DEPTH};
 use popan_geom::{Point2, Quadrant, Rect};
 
 #[derive(Debug, Clone)]
@@ -97,12 +97,7 @@ impl BoxedPrQuadtree {
 
     /// Inserts a point, splitting per the PR rule.
     pub fn insert(&mut self, p: Point2) -> Result<(), TreeError> {
-        if !p.is_finite() {
-            return Err(TreeError::NonFinitePoint);
-        }
-        if !self.region.contains(&p) {
-            return Err(TreeError::OutOfRegion { point: p });
-        }
+        let p = check_point(&self.region, p)?;
         Self::insert_rec(
             &mut self.root,
             self.region,

@@ -3,12 +3,12 @@
 //! count), and a bad input must fail with the error `build` gives, in
 //! `build`'s order of checks.
 
-use popan_geom::{Aabb3, BoxN, Point2, Point3, PointN, Rect};
+use popan_geom::{BoxN, Point2, PointN, Rect};
 use popan_proptest::prelude::*;
 use popan_proptest::TestCaseError;
 use popan_spatial::pr_quadtree::TreeError;
 use popan_spatial::{
-    Bintree, DepthOccupancyTable, OccupancyCensus, OccupancyProfile, PrOctree, PrQuadtree, PrTreeNd,
+    Bintree, DepthOccupancyTable, OccupancyCensus, OccupancyProfile, PrQuadtree, PrTreeNd,
 };
 
 fn same_census(
@@ -39,9 +39,12 @@ fn check_all(pts: &[[f64; 4]], capacity: usize) -> Result<(), TestCaseError> {
         t.leaf_count(),
     )?;
 
-    let oct: Vec<Point3> = pts.iter().map(|c| Point3::new(c[0], c[1], c[2])).collect();
-    let t = PrOctree::build(Aabb3::unit(), capacity, oct.iter().copied()).unwrap();
-    let census = PrOctree::census_of(Aabb3::unit(), capacity, oct).unwrap();
+    let oct: Vec<PointN<3>> = pts
+        .iter()
+        .map(|&[x, y, z, _]| PointN::new([x, y, z]))
+        .collect();
+    let t = PrTreeNd::<3>::build(BoxN::unit(), capacity, oct.iter().copied()).unwrap();
+    let census = PrTreeNd::<3>::census_of(BoxN::unit(), capacity, oct).unwrap();
     same_census(
         &census,
         t.occupancy_profile(),
@@ -132,50 +135,42 @@ fn census_of_covers_the_edge_inputs() {
 #[test]
 fn census_of_fails_as_build_does() {
     let nan = f64::NAN;
+    let capacity_error = TreeError::InvalidParameter("node capacity must be at least 1".into());
+    let out_of_region = |coord| TreeError::OutOfRegion { axis: 0, coord };
     // Capacity is checked before any point; then points in input order.
-    let inputs: [(usize, [[f64; 4]; 3]); 4] = [
-        (0, [[0.5; 4], [nan; 4], [2.0; 4]]),
-        (2, [[0.5; 4], [nan; 4], [2.0; 4]]),
-        (2, [[0.5; 4], [2.0; 4], [nan; 4]]),
-        (2, [[0.5; 4], [0.25; 4], [1.0; 4]]),
+    // Every tree gives the same error for the same input.
+    let inputs: [(usize, [[f64; 4]; 3], TreeError); 4] = [
+        (0, [[0.5; 4], [nan; 4], [2.0; 4]], capacity_error),
+        (2, [[0.5; 4], [nan; 4], [2.0; 4]], TreeError::NonFinitePoint),
+        (2, [[0.5; 4], [2.0; 4], [nan; 4]], out_of_region(2.0)),
+        (2, [[0.5; 4], [0.25; 4], [1.0; 4]], out_of_region(1.0)),
     ];
-    for (capacity, pts) in inputs {
+    for (capacity, pts, want) in inputs {
         let quad: Vec<Point2> = pts.iter().map(|c| Point2::new(c[0], c[1])).collect();
-        let want = PrQuadtree::build(Rect::unit(), capacity, quad.iter().copied()).unwrap_err();
+        let got = PrQuadtree::build(Rect::unit(), capacity, quad.iter().copied()).unwrap_err();
+        assert_eq!(got, want);
         let got = PrQuadtree::census_of(Rect::unit(), capacity, quad.clone()).unwrap_err();
         assert_eq!(got, want);
-        let want = Bintree::build(Rect::unit(), capacity, quad.iter().copied()).unwrap_err();
-        assert_eq!(
-            Bintree::census_of(Rect::unit(), capacity, quad).unwrap_err(),
-            want
-        );
+        let got = Bintree::build(Rect::unit(), capacity, quad.iter().copied()).unwrap_err();
+        assert_eq!(got, want);
+        let got = Bintree::census_of(Rect::unit(), capacity, quad).unwrap_err();
+        assert_eq!(got, want);
 
-        let oct: Vec<Point3> = pts.iter().map(|c| Point3::new(c[0], c[1], c[2])).collect();
-        let want = PrOctree::build(Aabb3::unit(), capacity, oct.iter().copied()).unwrap_err();
-        assert_eq!(
-            PrOctree::census_of(Aabb3::unit(), capacity, oct).unwrap_err(),
-            want
-        );
+        let oct: Vec<PointN<3>> = pts
+            .iter()
+            .map(|&[x, y, z, _]| PointN::new([x, y, z]))
+            .collect();
+        let got = PrTreeNd::<3>::build(BoxN::unit(), capacity, oct.iter().copied()).unwrap_err();
+        assert_eq!(got, want);
+        let got = PrTreeNd::<3>::census_of(BoxN::unit(), capacity, oct).unwrap_err();
+        assert_eq!(got, want);
 
         let nd: Vec<PointN<4>> = pts.iter().map(|&c| PointN::new(c)).collect();
-        let want = PrTreeNd::<4>::build(BoxN::unit(), capacity, nd.iter().copied()).unwrap_err();
-        assert_eq!(
-            PrTreeNd::<4>::census_of(BoxN::unit(), capacity, nd).unwrap_err(),
-            want
-        );
+        let got = PrTreeNd::<4>::build(BoxN::unit(), capacity, nd.iter().copied()).unwrap_err();
+        assert_eq!(got, want);
+        let got = PrTreeNd::<4>::census_of(BoxN::unit(), capacity, nd).unwrap_err();
+        assert_eq!(got, want);
     }
-    assert!(matches!(
-        PrQuadtree::census_of(Rect::unit(), 0, vec![Point2::new(nan, 0.5)]),
-        Err(TreeError::InvalidParameter(_))
-    ));
-    assert_eq!(
-        PrQuadtree::census_of(
-            Rect::unit(),
-            1,
-            vec![Point2::new(0.5, 0.5), Point2::new(nan, 0.5)]
-        ),
-        Err(TreeError::NonFinitePoint)
-    );
     // A zero-dimensional tree fails on its dimension before its capacity.
     assert_eq!(
         PrTreeNd::<0>::census_of(BoxN::unit(), 0, Vec::new()).unwrap_err(),

@@ -1,4 +1,4 @@
-//! Point distributions over a rectangle (and cube).
+//! Point distributions over a rectangle (and a `D`-dimensional box).
 //!
 //! Every source implements [`PointSource`]: a stateless description of a
 //! distribution that samples through a caller-supplied RNG. The paper's
@@ -18,10 +18,10 @@
 //!   stand-in.
 //! * [`GridJitter`] — a jittered regular grid, the opposite extreme of
 //!   clustering (hyper-uniform).
-//! * [`UniformCube`] — uniform points in 3-space for the octree
-//!   experiments.
+//! * [`uniform_in_box`] — uniform points in a `D`-dimensional box, for
+//!   the octree and the other PR trees past the plane.
 
-use popan_geom::{Aabb3, Point2, Point3, Rect};
+use popan_geom::{BoxN, Point2, PointN, Rect};
 use popan_rng::Rng;
 
 /// A distribution of points over a planar region.
@@ -242,41 +242,24 @@ impl PointSource for GridJitter {
     }
 }
 
-/// Uniform distribution over a 3-D box, for the octree experiments.
-#[derive(Debug, Clone, Copy)]
-pub struct UniformCube {
-    region: Aabb3,
-}
-
-impl UniformCube {
-    /// Uniform over `region`.
-    pub fn new(region: Aabb3) -> Self {
-        UniformCube { region }
-    }
-
-    /// Uniform over the unit cube.
-    pub fn unit() -> Self {
-        UniformCube::new(Aabb3::unit())
-    }
-
-    /// The region sampled.
-    pub fn region(&self) -> Aabb3 {
-        self.region
-    }
-
-    /// Draws one point.
-    pub fn sample(&self, rng: &mut dyn popan_rng::RngCore) -> Point3 {
-        Point3::new(
-            self.region.x().lo() + rng.random_range(0.0..1.0) * self.region.x().length(),
-            self.region.y().lo() + rng.random_range(0.0..1.0) * self.region.y().length(),
-            self.region.z().lo() + rng.random_range(0.0..1.0) * self.region.z().length(),
-        )
-    }
-
-    /// Draws `n` points.
-    pub fn sample_n(&self, rng: &mut dyn popan_rng::RngCore, n: usize) -> Vec<Point3> {
-        (0..n).map(|_| self.sample(rng)).collect()
-    }
+/// `n` points uniform over the `D`-dimensional box `region`, for the
+/// PR trees past the plane (the octree at `D = 3`). Each point draws its
+/// coordinates in axis order, coordinate `i` as `lo + u·(hi − lo)` on
+/// that axis with `u` uniform on `[0, 1)`; on the unit box that is
+/// exactly `u`.
+pub fn uniform_in_box<const D: usize>(
+    region: &BoxN<D>,
+    rng: &mut dyn popan_rng::RngCore,
+    n: usize,
+) -> Vec<PointN<D>> {
+    let (lo, hi) = (region.lo(), region.hi());
+    (0..n)
+        .map(|_| {
+            PointN::new(std::array::from_fn(|i| {
+                lo[i] + rng.random_range(0.0..1.0) * (hi[i] - lo[i])
+            }))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -413,12 +396,19 @@ mod tests {
     }
 
     #[test]
-    fn uniform_cube_contains_samples() {
-        let src = UniformCube::unit();
-        let mut r = rng();
-        for p in src.sample_n(&mut r, 500) {
-            assert!(src.region().contains(&p));
+    fn uniform_in_box_stays_in_region_and_matches_the_plain_draw() {
+        let region = BoxN::new([-1.0, 2.0, 0.5], [1.0, 2.5, 4.0]);
+        for p in uniform_in_box(&region, &mut rng(), 500) {
+            assert!(region.contains(&p));
         }
+        // On the unit box each coordinate is the bare uniform draw, in
+        // axis order.
+        let mut r = rng();
+        let plain: Vec<[f64; 4]> = (0..50)
+            .map(|_| std::array::from_fn(|_| r.random_range(0.0..1.0)))
+            .collect();
+        let drawn = uniform_in_box::<4>(&BoxN::unit(), &mut rng(), 50);
+        assert!(drawn.iter().zip(&plain).all(|(p, c)| p.coords == *c));
     }
 
     #[test]

@@ -13,12 +13,12 @@ use popan::core::{PrModel, SteadyStateSolver};
 use popan::exthash::excell::ExcellGrid;
 use popan::exthash::gridfile::GridFile;
 use popan::exthash::ExtendibleHashTable;
-use popan::geom::{Aabb3, BoxN, PointN, Rect};
-use popan::spatial::{Bintree, LinearQuadtree, PointQuadtree, PrOctree, PrQuadtree, PrTreeNd};
+use popan::geom::{BoxN, Rect};
+use popan::spatial::{Bintree, LinearQuadtree, PointQuadtree, PrQuadtree, PrTreeNd};
 use popan::workload::keys::UniformKeys;
-use popan::workload::points::{PointSource, UniformCube, UniformRect};
+use popan::workload::points::{uniform_in_box, PointSource, UniformRect};
 use popan_rng::rngs::StdRng;
-use popan_rng::{Rng, SeedableRng};
+use popan_rng::SeedableRng;
 
 const N: usize = 4000;
 const CAPACITY: usize = 4;
@@ -44,16 +44,18 @@ fn main() {
     let pts2 = UniformRect::unit().sample_n(&mut rng, N);
     let bt = Bintree::build(Rect::unit(), CAPACITY, pts2.iter().copied()).unwrap();
     let qt = PrQuadtree::build(Rect::unit(), CAPACITY, pts2.iter().copied()).unwrap();
-    let ot = PrOctree::build(
-        Aabb3::unit(),
+    let ot = PrTreeNd::<3>::build(
+        BoxN::unit(),
         CAPACITY,
-        UniformCube::unit().sample_n(&mut rng, N),
+        uniform_in_box(&BoxN::unit(), &mut rng, N),
     )
     .unwrap();
-    let pts4: Vec<PointN<4>> = (0..N)
-        .map(|_| PointN::new(std::array::from_fn(|_| rng.random_range(0.0..1.0))))
-        .collect();
-    let nd = PrTreeNd::<4>::build(BoxN::unit(), CAPACITY, pts4).unwrap();
+    let nd = PrTreeNd::<4>::build(
+        BoxN::unit(),
+        CAPACITY,
+        uniform_in_box(&BoxN::unit(), &mut rng, N),
+    )
+    .unwrap();
 
     let row = |name: &str, b: usize, leaves: usize, occ: f64| {
         println!(

@@ -22,6 +22,14 @@ cargo run -q --release --offline -p popan-lint -- \
   --baseline lint-baseline.json --json > bench/lint-report.json || {
   cat bench/lint-report.json >&2
   echo "verify: popan-lint gate failed (report above)" >&2; exit 1; }
+# The ratchet must stay exact: popan-lint only notes a stale entry, and
+# says nothing of an entry whose live count fell below its recorded
+# count, yet either leaves slack a later regression could ride on. So
+# every finding the baseline records must still be live and suppressed.
+suppressed=$(sed -n 's/.*"baseline":{"suppressed":\([0-9]*\),.*/\1/p' bench/lint-report.json)
+recorded=$(sed -n 's/.*"count": *\([0-9]*\)}.*/\1/p' lint-baseline.json | awk '{s += $1} END {print s + 0}')
+[ -n "$suppressed" ] && [ "$suppressed" -eq "$recorded" ] || {
+  echo "verify: lint-baseline.json records $recorded findings but the report suppressed ${suppressed:-none}; lower or delete the entries with slack" >&2; exit 1; }
 
 # Formatting and clippy gates. The toolchain components are optional in
 # minimal containers; skip with a visible notice rather than failing

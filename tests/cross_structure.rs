@@ -4,10 +4,10 @@
 
 use popan::core::{PrModel, SteadyStateSolver};
 use popan::exthash::{fagin, ExtendibleHashTable};
-use popan::geom::{Aabb3, Rect};
-use popan::spatial::{Bintree, OccupancyInstrumented, PrOctree, PrQuadtree};
+use popan::geom::{BoxN, Rect};
+use popan::spatial::{Bintree, OccupancyInstrumented, PrQuadtree, PrTreeNd};
 use popan::workload::keys::UniformKeys;
-use popan::workload::points::{PointSource, UniformCube, UniformRect};
+use popan::workload::points::{uniform_in_box, PointSource, UniformRect};
 use popan::workload::TrialRunner;
 
 fn theory_occupancy(branching: usize, capacity: usize) -> f64 {
@@ -46,10 +46,10 @@ fn occupancy_ordering_bintree_quadtree_octree() {
         .average_occupancy()
     });
     let ot: f64 = runner.run_mean(|_, rng| {
-        PrOctree::build(
-            Aabb3::unit(),
+        PrTreeNd::<3>::build(
+            BoxN::unit(),
             capacity,
-            UniformCube::unit().sample_n(rng, 1200),
+            uniform_in_box(&BoxN::unit(), rng, 1200),
         )
         .unwrap()
         .occupancy_profile()
@@ -80,8 +80,8 @@ fn node_count_identities_hold_across_structures() {
     let internal = bt.node_count() - bt.leaf_count();
     assert_eq!(bt.leaf_count(), internal + 1, "binary identity");
 
-    let pts3 = UniformCube::unit().sample_n(&mut rng, 700);
-    let ot = PrOctree::build(Aabb3::unit(), 1, pts3).unwrap();
+    let pts3 = uniform_in_box::<3>(&BoxN::unit(), &mut rng, 700);
+    let ot = PrTreeNd::build(BoxN::unit(), 1, pts3).unwrap();
     let internal = ot.node_count() - ot.leaf_count();
     assert_eq!(ot.leaf_count(), 7 * internal + 1, "8-ary identity");
 }
@@ -126,10 +126,10 @@ fn model_average_occupancy_against_every_structure() {
         (
             8,
             runner.run_mean(|_, rng| {
-                PrOctree::build(
-                    Aabb3::unit(),
+                PrTreeNd::<3>::build(
+                    BoxN::unit(),
                     capacity,
-                    UniformCube::unit().sample_n(rng, 2000),
+                    uniform_in_box(&BoxN::unit(), rng, 2000),
                 )
                 .unwrap()
                 .occupancy_profile()

@@ -6,9 +6,9 @@
 use popan::experiments::table45::{run_ladder, Workload};
 use popan::experiments::{table1, ExperimentConfig};
 use popan::exthash::gridfile::GridFile;
-use popan::geom::{Aabb3, Rect};
-use popan::spatial::{OccupancyInstrumented, PrOctree, PrQuadtree};
-use popan::workload::points::{PointSource, UniformCube, UniformRect};
+use popan::geom::{BoxN, Rect};
+use popan::spatial::{OccupancyInstrumented, PrQuadtree, PrTreeNd};
+use popan::workload::points::{uniform_in_box, PointSource, UniformRect};
 use popan::workload::TrialRunner;
 
 /// Bit-level equality for f64 sequences: `assert_eq!` on floats tolerates
@@ -82,8 +82,8 @@ fn full_table1_pipeline_is_bit_identical_at_paper_scale() {
 fn octrees_from_identical_streams_are_identical() {
     let build = || {
         let mut rng = TrialRunner::new(42, 1).rng_for_trial(0);
-        let pts = UniformCube::unit().sample_n(&mut rng, 500);
-        PrOctree::build(Aabb3::unit(), 2, pts).unwrap()
+        let pts = uniform_in_box::<3>(&BoxN::unit(), &mut rng, 500);
+        PrTreeNd::build(BoxN::unit(), 2, pts).unwrap()
     };
     let a = build();
     let b = build();
