@@ -107,6 +107,11 @@ fn bench_pmr(c: &mut Criterion) {
     group.bench_function("mc_transform_estimation_2k", |b| {
         b.iter(|| PmrModel::estimate(4, 4, &RandomChords, 2_000, black_box(7)).unwrap())
     });
+    // The `pmr` driver's own estimate: t = 4, 6 classes above it, 20,000
+    // draws per split row.
+    group.bench_function("mc_transform_estimation_20k_t4", |b| {
+        b.iter(|| PmrModel::estimate(4, 6, &RandomChords, 20_000, black_box(7)).unwrap())
+    });
     group.finish();
 }
 

@@ -35,8 +35,28 @@ use popan_rng::{Rng, SeedableRng};
 /// A model of "a random line interacting with a block", normalized to the
 /// unit square.
 pub trait LocalLineModel {
+    /// Draws one candidate segment, or `None` when the draw gives no
+    /// segment; it need not pass through the unit square.
+    fn candidate(&self, rng: &mut StdRng) -> Option<Segment2>;
+
+    /// Draws candidates until one passes through the unit square's
+    /// interior, and returns it with the quadrants it crosses
+    /// ([`Segment2::crosses_block`]).
+    fn sample_with_quadrants(&self, rng: &mut StdRng) -> (Segment2, [bool; 4]) {
+        let unit = Rect::unit();
+        loop {
+            if let Some(s) = self.candidate(rng) {
+                if let Some(quadrants) = s.crosses_block(&unit) {
+                    return (s, quadrants);
+                }
+            }
+        }
+    }
+
     /// Draws one segment that passes through the unit square's interior.
-    fn sample(&self, rng: &mut StdRng) -> Segment2;
+    fn sample(&self, rng: &mut StdRng) -> Segment2 {
+        self.sample_with_quadrants(rng).0
+    }
 }
 
 /// Random chords: both endpoints uniform on the boundary of the unit
@@ -48,36 +68,34 @@ pub trait LocalLineModel {
 pub struct RandomChords;
 
 impl RandomChords {
+    /// Perimeter parameterization of the unit square, `t ∈ [0, 4)`:
+    /// `(t, 0)`, `(1, t − 1)`, `(3 − t, 1)` or `(0, 4 − t)` on the edge
+    /// the three comparisons put `t` on. The edge indexes the four
+    /// candidates rather than choosing a branch, so a uniform `t` costs
+    /// no mispredicted jump.
     fn boundary_point(t: f64) -> Point2 {
-        // Perimeter parameterization of the unit square, t ∈ [0, 4).
-        match t {
-            t if t < 1.0 => Point2::new(t, 0.0),
-            t if t < 2.0 => Point2::new(1.0, t - 1.0),
-            t if t < 3.0 => Point2::new(3.0 - t, 1.0),
-            t => Point2::new(0.0, 4.0 - t),
-        }
+        let edge = 3 - usize::from(t < 1.0) - usize::from(t < 2.0) - usize::from(t < 3.0);
+        let xs = [t, 1.0, 3.0 - t, 0.0];
+        let ys = [0.0, t - 1.0, 1.0, 4.0 - t];
+        Point2::new(xs[edge], ys[edge])
     }
 }
 
 impl LocalLineModel for RandomChords {
-    fn sample(&self, rng: &mut StdRng) -> Segment2 {
-        loop {
-            let a = Self::boundary_point(rng.random_range(0.0..4.0));
-            let b = Self::boundary_point(rng.random_range(0.0..4.0));
-            if a == b {
-                continue;
-            }
-            let s = Segment2::new(a, b);
-            if s.crosses_rect(&Rect::unit()) {
-                return s;
-            }
-        }
+    /// Two perimeter points; `None` when they coincide.
+    #[inline]
+    fn candidate(&self, rng: &mut StdRng) -> Option<Segment2> {
+        let a = Self::boundary_point(rng.random_range(0.0..4.0));
+        let b = Self::boundary_point(rng.random_range(0.0..4.0));
+        // Perimeter points are finite, so distinct ones are a segment.
+        (a != b).then_some(Segment2 { a, b })
     }
 }
 
 /// Short segments: uniform midpoint in the block, uniform direction,
 /// fixed length relative to the block side. The local regime near the
-/// *top* of a PMR tree over short-edge map data.
+/// *top* of a PMR tree over short-edge map data. A segment's endpoints
+/// may poke outside the block — that's fine and realistic.
 #[derive(Debug, Clone, Copy)]
 pub struct ShortSegments {
     /// Segment length as a fraction of the block side, in `(0, 1)`.
@@ -85,25 +103,19 @@ pub struct ShortSegments {
 }
 
 impl LocalLineModel for ShortSegments {
-    fn sample(&self, rng: &mut StdRng) -> Segment2 {
+    /// A midpoint and an angle.
+    fn candidate(&self, rng: &mut StdRng) -> Option<Segment2> {
         assert!(
             self.relative_length > 0.0 && self.relative_length < 1.0,
             "relative_length must be in (0, 1)"
         );
-        loop {
-            let mid = Point2::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
-            let theta: f64 = rng.random_range(0.0..std::f64::consts::TAU);
-            let (dy, dx) = theta.sin_cos();
-            let h = self.relative_length / 2.0;
-            let a = Point2::new(mid.x - dx * h, mid.y - dy * h);
-            let b = Point2::new(mid.x + dx * h, mid.y + dy * h);
-            let s = Segment2::new(a, b);
-            // Keep segments whose visible part crosses the block interior
-            // (endpoints may poke outside — that's fine and realistic).
-            if s.crosses_rect(&Rect::unit()) {
-                return s;
-            }
-        }
+        let mid = Point2::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
+        let theta: f64 = rng.random_range(0.0..std::f64::consts::TAU);
+        let (dy, dx) = theta.sin_cos();
+        let h = self.relative_length / 2.0;
+        let a = Point2::new(mid.x - dx * h, mid.y - dy * h);
+        let b = Point2::new(mid.x + dx * h, mid.y + dy * h);
+        Some(Segment2::new(a, b))
     }
 }
 
@@ -161,9 +173,9 @@ impl PmrModel {
 
     /// One split row: a block holding `i` lines receives one more
     /// (`i + 1` total) and splits once; average the number of children at
-    /// each occupancy over `samples` draws. Each drawn line is classified
-    /// against the four quadrants by one
-    /// [`Segment2::crosses_quadrants`].
+    /// each occupancy over `samples` draws. Each drawn line comes with
+    /// the quadrants it crosses from the test that accepted it
+    /// ([`LocalLineModel::sample_with_quadrants`]).
     fn estimate_split_row(
         i: usize,
         n: usize,
@@ -171,12 +183,11 @@ impl PmrModel {
         samples: usize,
         rng: &mut StdRng,
     ) -> DVector {
-        let unit = Rect::unit();
         let mut acc = vec![0.0; n];
         for _ in 0..samples {
             let mut counts = [0usize; 4];
             for _ in 0..=i {
-                let crossed = local.sample(rng).crosses_quadrants(&unit);
+                let (_, crossed) = local.sample_with_quadrants(rng);
                 for (count, crosses) in counts.iter_mut().zip(crossed) {
                     *count += usize::from(crosses);
                 }
@@ -237,9 +248,80 @@ mod tests {
     fn chords_cross_the_unit_block() {
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..200 {
-            let s = RandomChords.sample(&mut rng);
+            let (s, quadrants) = RandomChords.sample_with_quadrants(&mut rng);
             assert!(s.crosses_rect(&Rect::unit()));
+            assert_eq!(quadrants, s.crosses_quadrants(&Rect::unit()));
         }
+    }
+
+    /// The perimeter parameterization as a `match` on the edge.
+    fn boundary_point_by_match(t: f64) -> Point2 {
+        match t {
+            t if t < 1.0 => Point2::new(t, 0.0),
+            t if t < 2.0 => Point2::new(1.0, t - 1.0),
+            t if t < 3.0 => Point2::new(3.0 - t, 1.0),
+            t => Point2::new(0.0, 4.0 - t),
+        }
+    }
+
+    #[test]
+    fn boundary_point_equals_the_match_form() {
+        let corners = [0.0f64, 1.0, 2.0, 3.0, 4.0]
+            .into_iter()
+            .flat_map(|t| [t.next_down(), t, t.next_up()]);
+        let grid = (0..=4096).map(|i| f64::from(i) / 1024.0);
+        for t in corners.chain(grid) {
+            let (got, want) = (RandomChords::boundary_point(t), boundary_point_by_match(t));
+            assert_eq!(
+                (got.x.to_bits(), got.y.to_bits()),
+                (want.x.to_bits(), want.y.to_bits()),
+                "t = {t}"
+            );
+        }
+    }
+
+    #[test]
+    fn fused_test_on_perimeter_chords_is_rect_then_quadrants() {
+        let unit = Rect::unit();
+        let chord = |ta: f64, tb: f64| {
+            let (a, b) = (
+                RandomChords::boundary_point(ta.rem_euclid(4.0)),
+                RandomChords::boundary_point(tb.rem_euclid(4.0)),
+            );
+            (a != b).then(|| Segment2::new(a, b))
+        };
+        let mut rng = StdRng::seed_from_u64(11);
+        let drawn: Vec<Segment2> = (0..20_000)
+            .filter_map(|_| RandomChords.candidate(&mut rng))
+            .collect();
+        // Chords along one edge, and chords shorter than 1e-12 across a
+        // corner or along an edge from it.
+        let mut built = Vec::new();
+        for corner in [0.0, 1.0, 2.0, 3.0] {
+            built.extend(chord(corner + 0.25, corner + 0.75));
+            built.extend(chord(corner, (corner + 1.0f64).next_down()));
+            built.extend(chord(corner - 3e-13, corner + 4e-13));
+            built.extend(chord(corner, corner + 5e-13));
+            built.extend(chord(corner.next_down(), corner.next_up()));
+        }
+        let (mut accepted, mut rejected) = (0, 0);
+        for s in drawn.iter().chain(&built) {
+            let fused = s.crosses_block(&unit);
+            assert_eq!(
+                fused,
+                s.crosses_rect(&unit).then(|| s.crosses_quadrants(&unit)),
+                "{s:?}"
+            );
+            if fused.is_some() {
+                accepted += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+        assert!(
+            accepted > 20_000 && rejected >= 12,
+            "{accepted} / {rejected}"
+        );
     }
 
     #[test]

@@ -113,9 +113,7 @@ impl PmrQuadtree {
     /// Inserts a segment. Errors if it does not pass through the region.
     pub fn insert(&mut self, segment: Segment2) -> Result<(), TreeError> {
         if !segment.crosses_rect(&self.region) {
-            return Err(TreeError::InvalidParameter(format!(
-                "segment {segment} does not pass through the tree region"
-            )));
+            return Err(TreeError::SegmentOutsideRegion(segment));
         }
         let entry = Entry {
             id: self.len as u32,
@@ -173,43 +171,31 @@ impl PmrQuadtree {
                 // Split-once rule: the threshold must be *exceeded* by the
                 // insertion, and the split is not applied recursively.
                 if entries.len() > threshold && depth < max_depth {
-                    Self::split_leaf_once(node, block);
+                    *node = Self::split_leaf_once(std::mem::take(entries), block);
                     *splits += 1;
                 }
             }
         }
     }
 
-    /// Splits a leaf exactly once, redistributing entries into the
-    /// quadrants their segments cross (one
-    /// [`Segment2::crosses_quadrants`] per entry). No recursion:
-    /// over-full children are allowed and will split on a later
-    /// insertion.
-    fn split_leaf_once(node: &mut Node, block: Rect) {
-        let entries = match std::mem::replace(node, Node::empty_leaf()) {
-            Node::Leaf(entries) => entries,
-            Node::Internal(_) => unreachable!("split_leaf_once on internal node"),
-        };
-        let mut children = Box::new([
-            Node::empty_leaf(),
-            Node::empty_leaf(),
-            Node::empty_leaf(),
-            Node::empty_leaf(),
-        ]);
+    /// Splits a leaf exactly once: the internal node whose four leaves
+    /// hold `entries`, each in the quadrants its segment crosses (one
+    /// [`Segment2::crosses_quadrants`] per entry), in the leaf's order.
+    /// No recursion: over-full children are allowed and will split on a
+    /// later insertion.
+    fn split_leaf_once(entries: Vec<Entry>, block: Rect) -> Node {
+        let mut children: [Vec<Entry>; 4] = Default::default();
         for entry in entries {
             for (child, crosses) in children
                 .iter_mut()
                 .zip(entry.segment.crosses_quadrants(&block))
             {
                 if crosses {
-                    match child {
-                        Node::Leaf(v) => v.push(entry),
-                        Node::Internal(_) => unreachable!(),
-                    }
+                    child.push(entry);
                 }
             }
         }
-        *node = Node::Internal(children);
+        Node::Internal(Box::new(children.map(Node::Leaf)))
     }
 
     /// All distinct segments passing through `query`, in insertion order.
@@ -359,7 +345,13 @@ mod tests {
     #[test]
     fn rejects_segment_outside_region() {
         let mut t = PmrQuadtree::new(Rect::unit(), 2).unwrap();
-        assert!(t.insert(seg(2.0, 2.0, 3.0, 3.0)).is_err());
+        let outside = seg(2.0, 2.0, 3.0, 3.0);
+        let err = t.insert(outside).unwrap_err();
+        assert_eq!(err, TreeError::SegmentOutsideRegion(outside));
+        assert_eq!(
+            err.to_string(),
+            "invalid parameter: segment (2, 2)→(3, 3) does not pass through the tree region"
+        );
         assert_eq!(t.len(), 0);
     }
 

@@ -81,7 +81,7 @@ impl PointQuadtree {
                 let mut node = root.as_mut();
                 loop {
                     if node.point == p {
-                        return Err(TreeError::InvalidParameter(format!("duplicate point {p}")));
+                        return Err(TreeError::DuplicatePoint(p));
                     }
                     let q = node.quadrant_index(&p);
                     if node.children[q].is_none() {
@@ -257,7 +257,12 @@ mod tests {
     fn duplicates_rejected() {
         let mut t = PointQuadtree::new();
         t.insert(pt(0.5, 0.5)).unwrap();
-        assert!(t.insert(pt(0.5, 0.5)).is_err());
+        let err = t.insert(pt(0.5, 0.5)).unwrap_err();
+        assert_eq!(err, TreeError::DuplicatePoint(pt(0.5, 0.5)));
+        assert_eq!(
+            err.to_string(),
+            "invalid parameter: duplicate point (0.5, 0.5)"
+        );
         assert_eq!(t.len(), 1);
     }
 

@@ -33,7 +33,7 @@ use crate::linear_quadtree::{knn_scan_leaf, min_dist_squared};
 use crate::node_stats::{
     DepthOccupancyTable, LeafRecord, OccupancyCensus, OccupancyInstrumented, OccupancyProfile,
 };
-use popan_geom::{Point2, Quadrant, Rect};
+use popan_geom::{Point2, Quadrant, Rect, Segment2};
 
 /// Default depth limit: effectively unbounded for the workloads here, but
 /// protects against coincident-point pathologies.
@@ -52,6 +52,11 @@ pub enum TreeError {
     },
     /// The point has a non-finite coordinate.
     NonFinitePoint,
+    /// A PMR quadtree's segment does not pass through the tree's region.
+    SegmentOutsideRegion(Segment2),
+    /// A point quadtree already holds the point (it stores distinct
+    /// points).
+    DuplicatePoint(Point2),
     /// Invalid construction parameter.
     InvalidParameter(String),
 }
@@ -66,6 +71,11 @@ impl std::fmt::Display for TreeError {
                 )
             }
             TreeError::NonFinitePoint => write!(f, "point has a non-finite coordinate"),
+            TreeError::SegmentOutsideRegion(segment) => write!(
+                f,
+                "invalid parameter: segment {segment} does not pass through the tree region"
+            ),
+            TreeError::DuplicatePoint(p) => write!(f, "invalid parameter: duplicate point {p}"),
             TreeError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
         }
     }

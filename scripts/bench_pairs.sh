@@ -16,7 +16,14 @@
 # TRACE is 0 (the default) or 1, passed to both sides as `--trace`.
 # Untraced runs print the end-to-end metrics; traced runs print the
 # per-layer ones (`spatial.*`, `query.*`, `experiments.*_s`, ...), so a
-# traced round shows which layer a change moved.
+# traced round shows which layer a change moved. A traced run also
+# writes its spans to `<root>/.bench_out/spans-<workload>-<seed>.tsv`
+# (a binary writes them under the checkout it was built in, so build
+# each side in its own root); for every span name among the children of
+# the run's `bench.setup` spans the round adds one row,
+# `setup.<name>_s`, the median of their durations in seconds (e.g.
+# `setup.experiments.pmr_s` for the `pmr` driver's set-up runs), so a
+# `setup_s` change can be traced to the driver that moved.
 #
 # Writes bench/pairs/LABEL-WORKLOAD.json in this repository
 # (LABEL-WORKLOAD-traced.json when TRACE is 1), and exits 2 before the
@@ -156,13 +163,42 @@ fi
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/popan-pairs.XXXXXX")
 trap 'rm -rf "$WORK"' EXIT
 
+# Prints `setup.<name>_s<TAB>seconds` for each span name among the
+# children of the `bench.setup` spans in a spans file (columns `index
+# name start_ns end_ns parent request`): the median of their durations.
+setup_rows() { # spans.tsv
+  awk -F'\t' '/^#/ || $1 == "index" {next}
+    {name[$1] = $2; parent[$1] = $5; ns[$1] = $4 - $3}
+    END {for (i in parent) if (name[parent[i]] == "bench.setup") print name[i] "\t" ns[i]}' "$1" |
+    sort -t "$(printf '\t')" -k1,1 -k2,2g |
+    awk -F'\t' '
+      function flush(   h, l) {
+        if (n == 0) return
+        h = 1 + 0.5 * (n - 1); l = int(h)
+        printf "setup.%s_s\t%.9g\n", key, (v[l] + (h - l) * (v[l + 1 < n ? l + 1 : n] - v[l])) / 1e9
+      }
+      $1 != key {flush(); key = $1; n = 0}
+      {v[++n] = $2}
+      END {flush()}'
+}
+
 run() { # side seed
-  local bin root
+  local bin root spans
   if [ "$1" = parent ]; then bin=$PARENT_BIN root=$PARENT_ROOT; else bin=$CHANGE_BIN root=$CHANGE_ROOT; fi
+  spans="$root/.bench_out/spans-$WORKLOAD-$2.tsv"
+  [ "$TRACE" = 1 ] && rm -f "$spans"
   (cd "$root" && "$bin" --workload "$WORKLOAD" --seed "$2" --seconds "$SECONDS_PER_RUN" --trace "$TRACE") \
     > "$WORK/$1-$2.out"
   grep '^metric ' "$WORK/$1-$2.out" | awk -v s="$2" -v side="$1" '{print s "\t" side "\t" $2 "\t" $3 "\t" $4}' \
     >> "$WORK/metrics.tsv"
+  if [ "$TRACE" = 1 ]; then
+    if [ ! -f "$spans" ]; then
+      echo "bench_pairs: the $1 run wrote no $spans; build its binary in that checkout" >&2
+      exit 1
+    fi
+    setup_rows "$spans" | awk -F'\t' -v s="$2" -v side="$1" '{print s "\t" side "\t" $1 "\t" $2 "\ts"}' \
+      >> "$WORK/metrics.tsv"
+  fi
   echo "bench_pairs: $WORKLOAD seed $2 $1 done" >&2
 }
 
