@@ -14,12 +14,12 @@ pub struct UniformKeys;
 
 impl UniformKeys {
     /// Draws one key.
-    pub fn sample(&self, rng: &mut dyn popan_rng::RngCore) -> u64 {
+    pub fn sample(&self, rng: &mut (impl popan_rng::RngCore + ?Sized)) -> u64 {
         rng.random()
     }
 
     /// Draws `n` keys.
-    pub fn sample_n(&self, rng: &mut dyn popan_rng::RngCore, n: usize) -> Vec<u64> {
+    pub fn sample_n(&self, rng: &mut (impl popan_rng::RngCore + ?Sized), n: usize) -> Vec<u64> {
         (0..n).map(|_| self.sample(rng)).collect()
     }
 }

@@ -249,7 +249,7 @@ impl PointSource for GridJitter {
 /// exactly `u`.
 pub fn uniform_in_box<const D: usize>(
     region: &BoxN<D>,
-    rng: &mut dyn popan_rng::RngCore,
+    rng: &mut (impl popan_rng::RngCore + ?Sized),
     n: usize,
 ) -> Vec<PointN<D>> {
     let (lo, hi) = (region.lo(), region.hi());
