@@ -24,7 +24,7 @@
 //!
 //! Since the split-tree refactor the rows are no longer hand-built here:
 //! every `PrModel` is a thin wrapper over a
-//! [`SplitSpec`](crate::split::SplitSpec) (binomial scatter, `s₀ = s₁ =
+//! [`SplitSpec`] (binomial scatter, `s₀ = s₁ =
 //! 0`, fixed split vector) whose derived transform is proven
 //! bit-identical to the historical derivation by the golden suite in
 //! `tests/golden_splitspec.rs`.

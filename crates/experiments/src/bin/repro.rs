@@ -13,10 +13,10 @@
 //!
 //! Experiments come from the registry (`popan_experiments::registry`);
 //! any subset can be selected by id. `--out <path>` additionally writes
-//! the full report as a Markdown file (ASCII figures fenced), `--json
-//! <dir>` writes one JSON artifact per experiment, `--threads <n>` sets
-//! `POPAN_THREADS` for the run (0 = available parallelism). SVG figures
-//! land in `target/figures/`.
+//! the full report as a Markdown file (ASCII figures fenced),
+//! `--json <dir>` writes one JSON artifact per experiment,
+//! `--threads <n>` sets `POPAN_THREADS` for the run (0 = available
+//! parallelism). SVG figures land in `target/figures/`.
 //!
 //! ## Fault tolerance
 //!

@@ -408,7 +408,7 @@ impl ExtendibleHashTable {
 
     /// Verifies structural invariants; panics on violation.
     ///
-    /// The directory invariant [`Self::split_bucket`] relies on: a bucket
+    /// The directory invariant `split_bucket` relies on: a bucket
     /// of local depth `l` is referenced by exactly the `2^(g−l)` slots of
     /// one residue class mod `2^l`, and holds only keys of that class.
     /// One pass over the directory and one over the buckets.

@@ -3,7 +3,7 @@
 use crate::strategy::Strategy;
 use popan_rng::{Rng, StdRng};
 
-/// A length specification for [`vec`]: an exact size, `lo..hi`, or
+/// A length specification for [`vec()`]: an exact size, `lo..hi`, or
 /// `lo..=hi`.
 #[derive(Debug, Clone, Copy)]
 pub struct SizeRange {
@@ -46,7 +46,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     size: SizeRange,

@@ -10,7 +10,7 @@
 
 use popan_exthash::excell::ExcellGrid;
 use popan_exthash::gridfile::GridFile;
-use popan_geom::{Point2, Rect};
+use popan_geom::{BoxN, Point2, Rect};
 use popan_spatial::reference::BoxedPrQuadtree;
 use popan_spatial::{knn_cmp, Bintree, LinearQuadtree, PointQuadtree, PrQuadtree, PrTreeNd};
 
@@ -152,7 +152,7 @@ impl Queryable for Bintree {
     }
 
     fn knn(&self, target: &Point2, k: usize) -> Vec<Point2> {
-        knn_by_scan(self.points(), target, k)
+        self.k_nearest(target, k)
     }
 }
 
@@ -185,7 +185,7 @@ impl Queryable for PrTreeNd<2> {
         let lo = [query.x().lo(), query.y().lo()];
         let hi = [query.x().hi(), query.y().hi()];
         let mut out: Vec<Point2> = self
-            .range_query(&lo, &hi)
+            .range_query(&BoxN::new(lo, hi))
             .into_iter()
             .map(|p| Point2::new(p.coords[0], p.coords[1]))
             .collect();

@@ -53,6 +53,7 @@
 //! insert/remove interleavings.
 
 use crate::node_stats::{LeafRecord, OccupancyCensus};
+use crate::pr_quadtree::{check_point, TreeError};
 use popan_geom::{BoxN, Half, Point2, PointN, Quadrant, Rect};
 
 /// Sentinel for "no spill vector attached".
@@ -72,10 +73,14 @@ const LANES: usize = 8;
 const LANE_FLUSH: usize = 255;
 
 /// A regular decomposition scheme: how a block splits into `BRANCHING`
-/// children and which child a point belongs to. Implemented by zero-sized
-/// markers; all methods are static so the arena stays monomorphized and
-/// branch-free on the scheme.
-pub(crate) trait Decomposition {
+/// children and which child a point belongs to, plus what sets one
+/// [`PrTree`](crate::PrTree) apart from another: its point check, its
+/// default depth limit and the block tests its range walk prunes with.
+/// Implemented by zero-sized markers; all methods are static so the
+/// arena stays monomorphized and branch-free on the scheme. Declared
+/// `pub` in this private module, so the trees name it in their bounds
+/// while no other crate can implement or name it.
+pub trait Decomposition {
     /// Point type stored in the tree.
     type Point: Copy + PartialEq + Default + std::fmt::Debug + std::fmt::Display;
     /// Block (region) type being decomposed.
@@ -85,6 +90,9 @@ pub(crate) trait Decomposition {
     type Splitter: Copy;
     /// Number of children per internal node.
     const BRANCHING: usize;
+    /// The depth limit of a tree built by
+    /// [`PrTree::new`](crate::PrTree::new).
+    const DEFAULT_MAX_DEPTH: u32;
     /// The block of child `i` of `block` split at `depth`.
     fn child_block(block: &Self::Block, depth: u32, i: usize) -> Self::Block;
     /// Fused descent step: the index and block of the child of `block`
@@ -101,17 +109,26 @@ pub(crate) trait Decomposition {
     fn classify(s: &Self::Splitter, depth: u32, p: &Self::Point) -> usize;
     /// Whether `block` contains `p` (half-open semantics).
     fn contains(block: &Self::Block, p: &Self::Point) -> bool;
+    /// `p`, when it is finite and inside `region`; otherwise the error
+    /// `insert` and the bulk entries report, naming the first axis `p`
+    /// leaves `region` on.
+    fn check_point(region: &Self::Block, p: Self::Point) -> Result<Self::Point, TreeError>;
+    /// Whether the half-open blocks `a` and `b` share a point.
+    fn overlaps(a: &Self::Block, b: &Self::Block) -> bool;
+    /// Whether `outer` contains all of `inner`.
+    fn covers(outer: &Self::Block, inner: &Self::Block) -> bool;
 }
 
 /// Quadrant decomposition of a [`Rect`] — the PR quadtree.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct QuadDecomp;
+pub struct QuadDecomp;
 
 impl Decomposition for QuadDecomp {
     type Point = Point2;
     type Block = Rect;
     type Splitter = (f64, f64);
     const BRANCHING: usize = 4;
+    const DEFAULT_MAX_DEPTH: u32 = crate::pr_quadtree::DEFAULT_MAX_DEPTH;
 
     fn child_block(block: &Rect, _depth: u32, i: usize) -> Rect {
         block.quadrant(Quadrant::from_index(i))
@@ -133,18 +150,33 @@ impl Decomposition for QuadDecomp {
     fn contains(block: &Rect, p: &Point2) -> bool {
         block.contains(p)
     }
+
+    fn check_point(region: &Rect, p: Point2) -> Result<Point2, TreeError> {
+        check_point(region, p)
+    }
+
+    fn overlaps(a: &Rect, b: &Rect) -> bool {
+        a.overlaps(b)
+    }
+
+    fn covers(outer: &Rect, inner: &Rect) -> bool {
+        outer.contains_rect(inner)
+    }
 }
 
 /// Alternating-axis halving of a [`Rect`] — the bintree. Depth-even
 /// levels split on x, depth-odd on y.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct BinDecomp;
+pub struct BinDecomp;
 
 impl Decomposition for BinDecomp {
     type Point = Point2;
     type Block = Rect;
     type Splitter = f64;
     const BRANCHING: usize = 2;
+    /// A bintree halves area every *two* levels, so it runs twice as
+    /// deep as a quadtree for the same resolution.
+    const DEFAULT_MAX_DEPTH: u32 = 64;
 
     fn child_block(block: &Rect, depth: u32, i: usize) -> Rect {
         let half = if i == 0 { Half::Lower } else { Half::Upper };
@@ -184,18 +216,31 @@ impl Decomposition for BinDecomp {
     fn contains(block: &Rect, p: &Point2) -> bool {
         block.contains(p)
     }
+
+    fn check_point(region: &Rect, p: Point2) -> Result<Point2, TreeError> {
+        check_point(region, p)
+    }
+
+    fn overlaps(a: &Rect, b: &Rect) -> bool {
+        a.overlaps(b)
+    }
+
+    fn covers(outer: &Rect, inner: &Rect) -> bool {
+        outer.contains_rect(inner)
+    }
 }
 
 /// Orthant decomposition of a [`BoxN`] — the `2^D`-ary PR tree (the
 /// octree at `D = 3`).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct NdDecomp<const D: usize>;
+pub struct NdDecomp<const D: usize>;
 
 impl<const D: usize> Decomposition for NdDecomp<D> {
     type Point = PointN<D>;
     type Block = BoxN<D>;
     type Splitter = PointN<D>;
     const BRANCHING: usize = 1 << D;
+    const DEFAULT_MAX_DEPTH: u32 = 32;
 
     // Out of line: the builder calls this once per child it splits, and
     // with `BoxN::orthant` inlined into `bulk_rec` the `dims` driver's
@@ -221,6 +266,29 @@ impl<const D: usize> Decomposition for NdDecomp<D> {
 
     fn contains(block: &BoxN<D>, p: &PointN<D>) -> bool {
         block.contains(p)
+    }
+
+    fn check_point(region: &BoxN<D>, p: PointN<D>) -> Result<PointN<D>, TreeError> {
+        if !p.is_finite() {
+            return Err(TreeError::NonFinitePoint);
+        }
+        let bounds = region.lo().iter().zip(region.hi());
+        for (axis, (&coord, (&lo, &hi))) in p.coords.iter().zip(bounds).enumerate() {
+            if !(lo <= coord && coord < hi) {
+                return Err(TreeError::OutOfRegion { axis, coord });
+            }
+        }
+        Ok(p)
+    }
+
+    fn overlaps(a: &BoxN<D>, b: &BoxN<D>) -> bool {
+        let below = |lo: &[f64; D], hi: &[f64; D]| lo.iter().zip(hi).all(|(l, h)| l < h);
+        below(a.lo(), b.hi()) && below(b.lo(), a.hi())
+    }
+
+    fn covers(outer: &BoxN<D>, inner: &BoxN<D>) -> bool {
+        let le = |a: &[f64; D], b: &[f64; D]| a.iter().zip(b).all(|(x, y)| x <= y);
+        le(outer.lo(), inner.lo()) && le(inner.hi(), outer.hi())
     }
 }
 
@@ -500,7 +568,7 @@ impl<D: Decomposition> ArenaTree<D> {
     /// An empty tree: one empty root leaf (counted by the census).
     pub(crate) fn new(region: D::Block, capacity: usize, max_depth: u32) -> Self {
         const { assert!(D::BRANCHING <= MAX_BULK_BRANCHING) };
-        debug_assert!(capacity >= 1, "wrappers validate capacity");
+        debug_assert!(capacity >= 1, "PrTree validates capacity");
         // Stride `capacity + 1`: room for a full leaf plus the one
         // over-capacity point an insert pushes before the leaf splits.
         let mut leaves = LeafPool::new(capacity + 1);
@@ -623,8 +691,8 @@ impl<D: Decomposition> ArenaTree<D> {
     /// Panics when the tree is not empty — in every build, not just
     /// debug. Bulk-filling a non-empty tree would double-count the
     /// census and silently corrupt every occupancy read downstream, so
-    /// the precondition is enforced unconditionally (the public wrappers
-    /// only call this on freshly constructed trees).
+    /// the precondition is enforced unconditionally (`PrTree::build`
+    /// only calls this on a freshly constructed tree).
     pub(crate) fn bulk_fill(&mut self, mut points: Vec<D::Point>) {
         assert!(self.is_empty(), "bulk_fill requires an empty tree");
         // An empty tree is one empty root leaf (removes collapse every
@@ -945,6 +1013,44 @@ impl<D: Decomposition> ArenaTree<D> {
                     let child_block = D::child_block(block, depth, i);
                     let child_path = path.wrapping_mul(D::BRANCHING as u64) | i as u64;
                     self.walk(base + i as u32, &child_block, depth + 1, child_path, f);
+                }
+            }
+            None => {}
+        }
+    }
+
+    /// The pruned walk behind the PR trees' range and count queries:
+    /// hands `f` the points of every leaf whose block overlaps `query`,
+    /// in traversal order, with whether `query` covers the block. Below
+    /// a covered block nothing is tested: its leaves go to `f` as they
+    /// lie, so a count adds their lengths.
+    pub(crate) fn range_walk(&self, query: &D::Block, f: &mut impl FnMut(&[D::Point], bool)) {
+        self.range_rec(ROOT, &self.region, 0, query, f);
+    }
+
+    fn range_rec(
+        &self,
+        slot: u32,
+        block: &D::Block,
+        depth: u32,
+        query: &D::Block,
+        f: &mut impl FnMut(&[D::Point], bool),
+    ) {
+        if !D::overlaps(block, query) {
+            return;
+        }
+        if D::covers(query, block) {
+            self.walk(slot, block, depth, 0, &mut |_, _, _, points| {
+                f(points, true)
+            });
+            return;
+        }
+        match self.slots.get(slot as usize) {
+            Some(&Slot::Leaf(buf)) => f(self.leaves.points(buf), false),
+            Some(&Slot::Internal(base)) => {
+                for i in 0..D::BRANCHING {
+                    let child_block = D::child_block(block, depth, i);
+                    self.range_rec(base + i as u32, &child_block, depth + 1, query, f);
                 }
             }
             None => {}

@@ -1,193 +1,24 @@
 //! The bintree: regular decomposition with alternating axis halving.
 //!
 //! A bintree (Samet & Tamminen; Knowlton's original) splits a block in two
-//! along one axis, alternating axes level by level — branching factor 2.
-//! It is the `d = 1` end of the paper's "the same principles apply …"
-//! generalization; the `dims` experiment validates the `b = 2` population
-//! model against it.
-//!
-//! Backed by the contiguous arena core with an incrementally maintained
-//! census, like every regular-decomposition tree in this crate.
+//! along one axis, alternating axes level by level — branching factor 2:
+//! depth-even splits are on x, depth-odd on y. It is the `d = 1` end of
+//! the paper's "the same principles apply …" generalization; the `dims`
+//! experiment validates the `b = 2` population model against it. It is
+//! [`PrTree`] over that decomposition, with a default depth limit of 64,
+//! since it halves area every *two* levels.
 
-use crate::arena::{ArenaTree, BinDecomp};
-use crate::node_stats::{
-    DepthOccupancyTable, LeafRecord, OccupancyCensus, OccupancyInstrumented, OccupancyProfile,
-};
-use crate::pr_quadtree::{check_capacity, check_point, validate_points, TreeError};
-use popan_geom::{Point2, Rect};
-
-/// Default depth limit. A bintree halves area every *two* levels, so it
-/// runs twice as deep as a quadtree for the same resolution.
-pub const DEFAULT_MAX_DEPTH: u32 = 64;
+use crate::arena::BinDecomp;
+use crate::pr_tree::PrTree;
 
 /// A generalized bintree with node capacity `m`.
-#[derive(Debug, Clone)]
-pub struct Bintree {
-    tree: ArenaTree<BinDecomp>,
-}
-
-impl Bintree {
-    /// Creates an empty bintree over `region` with node capacity
-    /// `capacity`.
-    pub fn new(region: Rect, capacity: usize) -> Result<Self, TreeError> {
-        check_capacity(capacity)?;
-        Ok(Bintree {
-            tree: ArenaTree::new(region, capacity, DEFAULT_MAX_DEPTH),
-        })
-    }
-
-    /// Builds a bintree by inserting `points` in order.
-    pub fn build(
-        region: Rect,
-        capacity: usize,
-        points: impl IntoIterator<Item = Point2>,
-    ) -> Result<Self, TreeError> {
-        let mut t = Self::new(region, capacity)?;
-        t.tree.bulk_fill(validate_points(&region, points)?);
-        Ok(t)
-    }
-
-    /// The occupancy census of [`build`](Self::build) over the same
-    /// arguments, without the tree (see
-    /// [`PrQuadtree::census_of`](crate::PrQuadtree::census_of)).
-    pub fn census_of(
-        region: Rect,
-        capacity: usize,
-        points: Vec<Point2>,
-    ) -> Result<OccupancyCensus, TreeError> {
-        check_capacity(capacity)?;
-        for &p in &points {
-            check_point(&region, p)?;
-        }
-        Ok(ArenaTree::<BinDecomp>::census_of(
-            region,
-            capacity,
-            DEFAULT_MAX_DEPTH,
-            points,
-        ))
-    }
-
-    /// The region covered.
-    pub fn region(&self) -> Rect {
-        self.tree.region()
-    }
-
-    /// Number of stored points.
-    pub fn len(&self) -> usize {
-        self.tree.len()
-    }
-
-    /// `true` when empty.
-    pub fn is_empty(&self) -> bool {
-        self.tree.is_empty()
-    }
-
-    /// Inserts a point, splitting per the PR rule with alternating axes
-    /// (depth-even splits are on x, depth-odd on y).
-    pub fn insert(&mut self, p: Point2) -> Result<(), TreeError> {
-        self.tree.insert(check_point(&self.region(), p)?);
-        Ok(())
-    }
-
-    /// `true` when an exactly equal point is stored.
-    pub fn contains(&self, p: &Point2) -> bool {
-        if !self.region().contains(p) {
-            return false;
-        }
-        self.tree.contains(p)
-    }
-
-    /// Total node count (internal + leaf) — O(1) pool accounting.
-    pub fn node_count(&self) -> usize {
-        self.tree.node_count()
-    }
-
-    /// Visits every leaf: the block, its depth, and its stored points.
-    pub fn for_each_leaf(&self, mut f: impl FnMut(Rect, u32, &[Point2])) {
-        self.tree
-            .for_each_leaf(&mut |block, depth, _, points| f(*block, depth, points));
-    }
-
-    /// All stored points, in leaf-traversal order.
-    pub fn points(&self) -> Vec<Point2> {
-        let mut out = Vec::with_capacity(self.len());
-        self.for_each_leaf(|_, _, pts| out.extend_from_slice(pts));
-        out
-    }
-
-    /// All stored points inside `query`, in leaf-traversal order.
-    ///
-    /// A leaf sweep pruned by block overlap — fine for the oracle and
-    /// verification paths this backend serves; the query tier freezes
-    /// hot structures into a `Snapshot` for serving.
-    pub fn range_query(&self, query: &Rect) -> Vec<Point2> {
-        let mut out = Vec::new();
-        self.for_each_leaf(|block, _, pts| {
-            if block.overlaps(query) {
-                out.extend(pts.iter().filter(|p| query.contains(p)).copied());
-            }
-        });
-        out
-    }
-
-    /// Counts stored points inside `query` without materializing them.
-    pub fn count_in_range(&self, query: &Rect) -> usize {
-        let mut count = 0;
-        self.for_each_leaf(|block, _, pts| {
-            if query.contains_rect(&block) {
-                count += pts.len();
-            } else if block.overlaps(query) {
-                count += pts.iter().filter(|p| query.contains(p)).count();
-            }
-        });
-        count
-    }
-
-    /// Leaf node count, served from the maintained census: O(1).
-    pub fn leaf_count(&self) -> usize {
-        self.tree.census().leaf_count()
-    }
-
-    /// The occupancy profile, maintained incrementally — a
-    /// zero-allocation, zero-traversal read.
-    pub fn occupancy_profile(&self) -> &OccupancyProfile {
-        self.tree.census().profile()
-    }
-
-    /// The per-depth occupancy table, maintained incrementally — a
-    /// zero-allocation, zero-traversal read.
-    pub fn depth_table(&self) -> &DepthOccupancyTable {
-        self.tree.census().depth_table()
-    }
-
-    /// Verifies structural invariants (including census/traversal
-    /// agreement); panics on violation.
-    pub fn check_invariants(&self) {
-        self.tree.check_invariants();
-    }
-}
-
-impl OccupancyInstrumented for Bintree {
-    fn capacity(&self) -> usize {
-        self.tree.capacity()
-    }
-
-    fn leaf_records(&self) -> Vec<LeafRecord> {
-        self.tree.leaf_records()
-    }
-
-    fn occupancy_profile(&self) -> OccupancyProfile {
-        self.tree.census().profile().clone()
-    }
-
-    fn depth_table(&self) -> DepthOccupancyTable {
-        self.tree.census().depth_table().clone()
-    }
-}
+pub type Bintree = PrTree<BinDecomp>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node_stats::OccupancyInstrumented;
+    use popan_geom::{Point2, Rect};
     use popan_rng::rngs::StdRng;
     use popan_rng::SeedableRng;
     use popan_workload::points::{PointSource, UniformRect};

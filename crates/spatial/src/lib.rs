@@ -4,14 +4,15 @@
 //! actual bucketing trees that can be built from synthetic workloads and
 //! interrogated for the node-occupancy statistics the model predicts.
 //!
-//! * [`PrQuadtree`] — the generalized PR quadtree (regular decomposition,
-//!   node capacity `m`, "split until no block contains more than m
-//!   points"). The paper's primary experimental subject.
-//! * [`Bintree`] — regular decomposition with alternating axis halving
-//!   (branching factor 2).
-//! * [`PrTreeNd`] — the same discipline in `D` dimensions (branching
-//!   factor `2^D`): `PrTreeNd<3>` is the PR octree, `PrTreeNd<4>` the
-//!   `b = 16` tree.
+//! * [`PrTree`] — the generalized PR tree (regular decomposition, node
+//!   capacity `m`, "split until no block contains more than m points")
+//!   over a decomposition scheme, one type with three aliases:
+//!   * [`PrQuadtree`] — quadrants; the paper's primary experimental
+//!     subject;
+//!   * [`Bintree`] — alternating axis halving (branching factor 2);
+//!   * [`PrTreeNd`] — orthants in `D` dimensions (branching factor
+//!     `2^D`): `PrTreeNd<3>` is the PR octree, `PrTreeNd<4>` the
+//!     `b = 16` tree.
 //! * [`PointQuadtree`] — the classical Finkel–Bentley point quadtree,
 //!   where partitions are data-dependent (included for the paper's §II
 //!   taxonomy; it has no bucket populations, so only depth statistics).
@@ -27,14 +28,15 @@
 //! * [`visualize`] — ASCII rendering of a quadtree's block decomposition
 //!   (Figure 1).
 //!
-//! The regular-decomposition trees (`PrQuadtree`, `Bintree`, `PrTreeNd`)
-//! share one arena-backed core ([`arena`], crate-private): nodes live in
-//! a contiguous slot pool addressed by `u32` ids, points in per-leaf
-//! small buffers that spill to a shared point arena, and an
-//! [`node_stats::OccupancyCensus`] is maintained incrementally so
-//! `occupancy_profile()` / `depth_table()` / `leaf_count()` are
-//! zero-allocation reads. [`reference`] keeps the original boxed
-//! implementation as the bit-identity oracle for the equivalence tests.
+//! [`PrTree`] keeps its nodes in one arena-backed core (the
+//! crate-private `arena` module): nodes live in a contiguous slot pool
+//! addressed by `u32` ids, points in per-leaf small buffers that spill
+//! to a shared point arena, and an [`node_stats::OccupancyCensus`] is
+//! maintained incrementally so `occupancy_profile()` / `depth_table()` /
+//! `leaf_count()` are zero-allocation reads. One pruned walk answers
+//! every scheme's range and count queries. [`mod@reference`] keeps the
+//! original boxed quadtree as the bit-identity oracle for the
+//! equivalence tests.
 //!
 //! All trees are deterministic given their insertion sequence, use
 //! half-open regular decomposition from [`popan_geom`], and enforce their
@@ -53,6 +55,7 @@ pub mod node_stats;
 pub mod pmr_quadtree;
 pub mod point_quadtree;
 pub mod pr_quadtree;
+pub mod pr_tree;
 pub mod pr_tree_nd;
 pub mod reference;
 pub mod visualize;
@@ -69,4 +72,5 @@ pub use node_stats::{
 pub use pmr_quadtree::PmrQuadtree;
 pub use point_quadtree::PointQuadtree;
 pub use pr_quadtree::PrQuadtree;
+pub use pr_tree::PrTree;
 pub use pr_tree_nd::PrTreeNd;

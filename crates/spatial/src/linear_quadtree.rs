@@ -666,7 +666,7 @@ impl LinearQuadtree {
     /// Appends all stored points inside `query` to `out` (cleared
     /// first), in slab order: the order of [`LinearQuadtree::points`].
     ///
-    /// The walk is [`LinearQuadtree::range_descend`]: a block inside
+    /// The walk is `LinearQuadtree::range_descend`: a block inside
     /// `query` copies its leaf run's points as one slice, and a block
     /// the window's edges cut that is a single leaf or holds at most
     /// [`SCAN_RUN`] points has its run filtered through the half-open
@@ -774,7 +774,7 @@ impl LinearQuadtree {
     /// The search is a depth-first branch-and-bound over the implicit
     /// Morton hierarchy of the leaf slab (the pointer tree's
     /// `k_nearest` on slab ranges): a block's four children are the
-    /// `code_lo` runs [`SlabBlock::for_each_child`] cuts off the front
+    /// `code_lo` runs `SlabBlock::for_each_child` cuts off the front
     /// of its run, their rects come from [`Rect::quadrants`], and they
     /// are visited nearest first, in `(min-distance², code)` order,
     /// skipping empty ones. The first

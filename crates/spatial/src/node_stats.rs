@@ -111,17 +111,12 @@ impl OccupancyProfile {
     /// Incrementally records one leaf of the given occupancy — O(1)
     /// amortized.
     pub fn record_leaf(&mut self, occupancy: usize) {
-        self.record_leaves(occupancy, 1);
-    }
-
-    /// Records `count` leaves of one occupancy class at once. Lands on
-    /// exactly the state `count` repeated
-    /// [`OccupancyProfile::record_leaf`] calls reach.
-    pub fn record_leaves(&mut self, occupancy: usize, count: u64) {
         if occupancy >= self.counts.len() {
             self.counts.resize(occupancy + 1, 0);
         }
-        self.counts[occupancy] += count;
+        if let Some(count) = self.counts.get_mut(occupancy) {
+            *count += 1;
+        }
     }
 
     /// Incrementally removes one previously recorded leaf. Trailing zero
@@ -268,22 +263,19 @@ impl DepthOccupancyTable {
 
     /// Incrementally records one leaf at `depth` with the given occupancy.
     pub fn record(&mut self, depth: u32, occupancy: usize) {
-        self.record_many(depth, occupancy, 1);
-    }
-
-    /// Records `count` leaves of one `(depth, occupancy)` class at
-    /// once. Lands on exactly the state `count` repeated
-    /// [`DepthOccupancyTable::record`] calls reach.
-    pub fn record_many(&mut self, depth: u32, occupancy: usize, count: u64) {
         let d = depth as usize;
         if d >= self.rows.len() {
             self.rows.resize_with(d + 1, Vec::new);
         }
-        let row = &mut self.rows[d];
+        let Some(row) = self.rows.get_mut(d) else {
+            return;
+        };
         if occupancy >= row.len() {
             row.resize(occupancy + 1, 0);
         }
-        row[occupancy] += count;
+        if let Some(count) = row.get_mut(occupancy) {
+            *count += 1;
+        }
     }
 
     /// Incrementally removes one previously recorded leaf. Rows are trimmed

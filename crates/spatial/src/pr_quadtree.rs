@@ -1,43 +1,24 @@
-//! The generalized PR quadtree for point data.
+//! The PR quadtree: [`PrTree`] over quadrant decomposition, and the
+//! error type every tree in this crate reports.
 //!
 //! Regular decomposition of a square region into quadrants with the
 //! paper's splitting rule: *"split until no block contains more than m
 //! points"* (§II). `m = 1` gives the simple PR quadtree of Figure 1;
 //! larger `m` gives the generalized (bucket) PR quadtree whose occupancy
-//! populations the paper analyzes.
-//!
-//! # Semantics
-//!
-//! * The tree covers a fixed region; inserting a point outside it is an
-//!   error (regular decomposition has "pre-defined boundaries").
-//! * Points are a multiset: exact duplicates are stored. Since coincident
-//!   points can never be separated by splitting, a leaf whose points are
-//!   all coincident is not split further (and a `max_depth` bound caps
-//!   pathological near-duplicates, reproducing the paper's
-//!   depth-truncation artifact when set low).
-//! * Leaves at `max_depth` may exceed the capacity.
-//!
-//! # Representation
-//!
-//! Nodes live in a contiguous arena ([`crate::arena`], `u32` slot ids,
-//! free-list reuse on remove-collapse) and the occupancy census is
-//! maintained incrementally, so [`PrQuadtree::occupancy_profile`],
-//! [`PrQuadtree::depth_table`] and [`PrQuadtree::leaf_count`] are
-//! zero-allocation O(m) reads instead of full traversals. Leaf traversal
-//! order (NW→SE pre-order) and every floating-point result are
-//! bit-identical to the original boxed implementation, which survives as
-//! [`crate::reference::BoxedPrQuadtree`] — the equivalence-test oracle.
+//! populations the paper analyzes. The tree's semantics and
+//! representation are documented on [`crate::pr_tree`]; it alone also
+//! takes an explicit depth limit ([`PrQuadtree::with_max_depth`]).
 
-use crate::arena::{ArenaTree, QuadDecomp, SlotView, ROOT};
-use crate::linear_quadtree::{knn_scan_leaf, min_dist_squared};
-use crate::node_stats::{
-    DepthOccupancyTable, LeafRecord, OccupancyCensus, OccupancyInstrumented, OccupancyProfile,
-};
-use popan_geom::{Point2, Quadrant, Rect, Segment2};
+use crate::arena::QuadDecomp;
+use crate::pr_tree::PrTree;
+use popan_geom::{Point2, Rect, Segment2};
 
 /// Default depth limit: effectively unbounded for the workloads here, but
 /// protects against coincident-point pathologies.
 pub const DEFAULT_MAX_DEPTH: u32 = 32;
+
+/// A generalized PR quadtree with node capacity `m`.
+pub type PrQuadtree = PrTree<QuadDecomp>;
 
 /// Error type for tree operations.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,18 +64,8 @@ impl std::fmt::Display for TreeError {
 
 impl std::error::Error for TreeError {}
 
-/// Fails unless a PR tree's node capacity is at least 1.
-pub(crate) fn check_capacity(capacity: usize) -> Result<(), TreeError> {
-    if capacity == 0 {
-        return Err(TreeError::InvalidParameter(
-            "node capacity must be at least 1".into(),
-        ));
-    }
-    Ok(())
-}
-
 /// `p`, when it is finite and inside `region`: the checks, in the
-/// order, that `insert` and the bulk entries make.
+/// order, that a planar tree's `insert` and bulk entries make.
 pub(crate) fn check_point(region: &Rect, p: Point2) -> Result<Point2, TreeError> {
     if !p.is_finite() {
         return Err(TreeError::NonFinitePoint);
@@ -110,348 +81,12 @@ pub(crate) fn check_point(region: &Rect, p: Point2) -> Result<Point2, TreeError>
     Ok(p)
 }
 
-/// Collects `points` for a bulk build over `region`, failing on the
-/// first point [`check_point`] rejects, in input order — the error
-/// sequential `insert`s would give.
-pub(crate) fn validate_points(
-    region: &Rect,
-    points: impl IntoIterator<Item = Point2>,
-) -> Result<Vec<Point2>, TreeError> {
-    let mut pts = Vec::new();
-    for p in points {
-        pts.push(check_point(region, p)?);
-    }
-    Ok(pts)
-}
-
-/// A generalized PR quadtree with node capacity `m`.
-#[derive(Debug, Clone)]
-pub struct PrQuadtree {
-    tree: ArenaTree<QuadDecomp>,
-}
-
-impl PrQuadtree {
-    /// Creates an empty tree over `region` with node capacity `capacity`
-    /// and the default depth limit.
-    pub fn new(region: Rect, capacity: usize) -> Result<Self, TreeError> {
-        Self::with_max_depth(region, capacity, DEFAULT_MAX_DEPTH)
-    }
-
-    /// Creates an empty tree with an explicit depth limit.
-    ///
-    /// The paper's implementation "truncates the tree at that depth
-    /// (9)"; passing `max_depth = 9` reproduces its Table 3 artifact.
-    pub fn with_max_depth(
-        region: Rect,
-        capacity: usize,
-        max_depth: u32,
-    ) -> Result<Self, TreeError> {
-        check_capacity(capacity)?;
-        Ok(PrQuadtree {
-            tree: ArenaTree::new(region, capacity, max_depth),
-        })
-    }
-
-    /// Builds a tree by inserting `points` in order.
-    pub fn build(
-        region: Rect,
-        capacity: usize,
-        points: impl IntoIterator<Item = Point2>,
-    ) -> Result<Self, TreeError> {
-        let mut t = Self::new(region, capacity)?;
-        let pts = validate_points(&region, points)?;
-        // Bulk construction: bit-identical to sequential inserts (see
-        // `ArenaTree::bulk_fill`), but streams points level by level
-        // instead of descending per point.
-        t.tree.bulk_fill(pts);
-        Ok(t)
-    }
-
-    /// The occupancy census of [`build`](Self::build) over the same
-    /// arguments, without the tree: the arena's builder runs with the
-    /// census for its sink, so no node, leaf buffer or point copy is
-    /// made. For the drivers that read only a census. Fails as `build`
-    /// does, with the same error for the same input, and checks
-    /// `points` where they lie instead of collecting them again.
-    pub fn census_of(
-        region: Rect,
-        capacity: usize,
-        points: Vec<Point2>,
-    ) -> Result<OccupancyCensus, TreeError> {
-        check_capacity(capacity)?;
-        for &p in &points {
-            check_point(&region, p)?;
-        }
-        Ok(ArenaTree::<QuadDecomp>::census_of(
-            region,
-            capacity,
-            DEFAULT_MAX_DEPTH,
-            points,
-        ))
-    }
-
-    /// The region covered.
-    pub fn region(&self) -> Rect {
-        self.tree.region()
-    }
-
-    /// The depth limit.
-    pub fn max_depth(&self) -> u32 {
-        self.tree.max_depth()
-    }
-
-    /// Number of stored points.
-    pub fn len(&self) -> usize {
-        self.tree.len()
-    }
-
-    /// `true` when no points are stored.
-    pub fn is_empty(&self) -> bool {
-        self.tree.is_empty()
-    }
-
-    /// Inserts a point, splitting per the PR rule.
-    pub fn insert(&mut self, p: Point2) -> Result<(), TreeError> {
-        self.tree.insert(check_point(&self.region(), p)?);
-        Ok(())
-    }
-
-    /// Removes one stored instance of `p`. Returns `true` when a point
-    /// was removed.
-    ///
-    /// Non-finite points are rejected outright (mirroring `insert` — they
-    /// can never be stored, so there is nothing to remove and no reason
-    /// to descend).
-    ///
-    /// After a removal, internal nodes whose children are all leaves and
-    /// whose combined occupancy fits within the capacity are collapsed
-    /// back into a single leaf, restoring the PR quadtree's minimality:
-    /// the structure after deletions is exactly what building from the
-    /// surviving point set produces (order-independence extends to
-    /// deletion).
-    pub fn remove(&mut self, p: &Point2) -> bool {
-        if !p.is_finite() || !self.region().contains(p) {
-            return false;
-        }
-        self.tree.remove(p)
-    }
-
-    /// `true` when an exactly equal point is stored.
-    pub fn contains(&self, p: &Point2) -> bool {
-        if !self.region().contains(p) {
-            return false;
-        }
-        self.tree.contains(p)
-    }
-
-    /// All stored points inside `query` (half-open on both axes).
-    pub fn range_query(&self, query: &Rect) -> Vec<Point2> {
-        let mut out = Vec::new();
-        self.range_rec(ROOT, self.region(), query, &mut out);
-        out
-    }
-
-    fn range_rec(&self, slot: u32, block: Rect, query: &Rect, out: &mut Vec<Point2>) {
-        if !block.overlaps(query) {
-            return;
-        }
-        match self.tree.view(slot) {
-            SlotView::Leaf(points) => {
-                out.extend(points.iter().filter(|p| query.contains(p)).copied());
-            }
-            SlotView::Internal(base) => {
-                for i in 0..4 {
-                    self.range_rec(
-                        base + i as u32,
-                        block.quadrant(Quadrant::from_index(i)),
-                        query,
-                        out,
-                    );
-                }
-            }
-        }
-    }
-
-    /// Counts stored points inside `query` without materializing them.
-    pub fn count_in_range(&self, query: &Rect) -> usize {
-        self.count_rec(ROOT, self.region(), query)
-    }
-
-    fn count_rec(&self, slot: u32, block: Rect, query: &Rect) -> usize {
-        if !block.overlaps(query) {
-            return 0;
-        }
-        match self.tree.view(slot) {
-            SlotView::Leaf(points) => points.iter().filter(|p| query.contains(p)).count(),
-            SlotView::Internal(base) => {
-                if query.contains_rect(&block) {
-                    // Whole block inside the query: count everything.
-                    return (0..4)
-                        .map(|i| {
-                            self.count_all(base + i as u32, block.quadrant(Quadrant::from_index(i)))
-                        })
-                        .sum();
-                }
-                (0..4)
-                    .map(|i| {
-                        self.count_rec(
-                            base + i as u32,
-                            block.quadrant(Quadrant::from_index(i)),
-                            query,
-                        )
-                    })
-                    .sum()
-            }
-        }
-    }
-
-    fn count_all(&self, slot: u32, block: Rect) -> usize {
-        match self.tree.view(slot) {
-            SlotView::Leaf(points) => points.len(),
-            SlotView::Internal(base) => (0..4)
-                .map(|i| self.count_all(base + i as u32, block.quadrant(Quadrant::from_index(i))))
-                .sum(),
-        }
-    }
-
-    /// The `k` stored points nearest to `target`, nearest first (fewer
-    /// when the tree holds fewer than `k` points).
-    ///
-    /// Ordering and tie-breaking follow the query tier's canonical k-NN
-    /// order ([`crate::linear_quadtree::knn_cmp`]: squared distance,
-    /// then [`Point2::canonical_cmp`]), so the result is bit-identical
-    /// to every other `Queryable` backend even on coincident piles and
-    /// equidistant rings.
-    pub fn k_nearest(&self, target: &Point2, k: usize) -> Vec<Point2> {
-        if k == 0 {
-            return Vec::new();
-        }
-        // Best list kept sorted ascending by the canonical order;
-        // worst-first pruning.
-        let mut best: Vec<(f64, Point2)> = Vec::with_capacity(k + 1);
-        self.k_nearest_rec(ROOT, self.region(), target, k, &mut best);
-        best.into_iter().map(|(_, p)| p).collect()
-    }
-
-    fn k_nearest_rec(
-        &self,
-        slot: u32,
-        block: Rect,
-        target: &Point2,
-        k: usize,
-        best: &mut Vec<(f64, Point2)>,
-    ) {
-        if best.len() == k {
-            let worst = best.last().expect("non-empty at capacity").0;
-            if min_dist_squared(&block, target) > worst {
-                return;
-            }
-        }
-        match self.tree.view(slot) {
-            SlotView::Leaf(points) => knn_scan_leaf(points, target, k, best),
-            SlotView::Internal(base) => {
-                // Nearest child first, ties in child order.
-                let mut children = [(0.0, 0, block); 4];
-                for ((child, rect), i) in children.iter_mut().zip(block.quadrants()).zip(0u32..) {
-                    *child = (min_dist_squared(&rect, target), i, rect);
-                }
-                children.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                for (_, i, rect) in children {
-                    self.k_nearest_rec(base + i, rect, target, k, best);
-                }
-            }
-        }
-    }
-
-    /// The stored point nearest to `target`, by [`PrQuadtree::k_nearest`]
-    /// with `k` = 1: ties now resolve canonically
-    /// ([`crate::linear_quadtree::knn_cmp`]) instead of arbitrarily.
-    /// `None` when the tree is empty; `target` need not be in the region.
-    pub fn nearest(&self, target: &Point2) -> Option<Point2> {
-        self.k_nearest(target, 1).pop()
-    }
-
-    /// Total node count (internal + leaf) — O(1) pool accounting.
-    pub fn node_count(&self) -> usize {
-        self.tree.node_count()
-    }
-
-    /// Leaf node count — the paper's `nodes` column (its node counts are
-    /// leaf counts: Table 4 reports 16.9 "nodes" for 64 points at m = 8).
-    /// Served from the maintained census: O(1), no traversal.
-    pub fn leaf_count(&self) -> usize {
-        self.tree.census().leaf_count()
-    }
-
-    /// The occupancy profile, maintained incrementally — a
-    /// zero-allocation, zero-traversal read.
-    pub fn occupancy_profile(&self) -> &OccupancyProfile {
-        self.tree.census().profile()
-    }
-
-    /// The per-depth occupancy table, maintained incrementally — a
-    /// zero-allocation, zero-traversal read.
-    pub fn depth_table(&self) -> &DepthOccupancyTable {
-        self.tree.census().depth_table()
-    }
-
-    /// The full incremental census (profile + depth table + leaf count).
-    pub fn census(&self) -> &OccupancyCensus {
-        self.tree.census()
-    }
-
-    /// The arena core, for the freeze's path-threaded walk.
-    pub(crate) fn arena(&self) -> &ArenaTree<QuadDecomp> {
-        &self.tree
-    }
-
-    /// Visits every leaf with its block, depth and points.
-    pub fn for_each_leaf(&self, mut f: impl FnMut(Rect, u32, &[Point2])) {
-        self.tree
-            .for_each_leaf(&mut |block, depth, _, points| f(*block, depth, points));
-    }
-
-    /// All stored points, in leaf order.
-    pub fn points(&self) -> Vec<Point2> {
-        let mut out = Vec::with_capacity(self.len());
-        self.for_each_leaf(|_, _, pts| out.extend_from_slice(pts));
-        out
-    }
-
-    /// Verifies structural invariants; panics with a description on
-    /// violation. Test/diagnostic hook.
-    ///
-    /// Checks: point count consistency; every point inside its leaf block;
-    /// no leaf above capacity unless at `max_depth` or all-coincident;
-    /// arena pool accounting; and that the incremental census equals a
-    /// census rebuilt from a full traversal.
-    pub fn check_invariants(&self) {
-        self.tree.check_invariants();
-    }
-}
-
-impl OccupancyInstrumented for PrQuadtree {
-    fn capacity(&self) -> usize {
-        self.tree.capacity()
-    }
-
-    fn leaf_records(&self) -> Vec<LeafRecord> {
-        self.tree.leaf_records()
-    }
-
-    fn occupancy_profile(&self) -> OccupancyProfile {
-        self.tree.census().profile().clone()
-    }
-
-    fn depth_table(&self) -> DepthOccupancyTable {
-        self.tree.census().depth_table().clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node_stats::OccupancyInstrumented;
+    use crate::node_stats::{
+        DepthOccupancyTable, LeafRecord, OccupancyInstrumented, OccupancyProfile,
+    };
     use popan_rng::rngs::StdRng;
     use popan_rng::SeedableRng;
     use popan_workload::points::{PointSource, UniformRect};

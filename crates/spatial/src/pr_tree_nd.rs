@@ -1,224 +1,30 @@
 //! The generalized PR tree in `D` dimensions (branching factor `2^D`).
 //!
 //! The paper: "The same principles apply in the case of octrees and
-//! higher dimensional data structures." This const-generic tree
-//! instantiates the PR bucketing discipline for any `D`, so the
-//! generalized `b = 2^D` population model can be validated well beyond
-//! the quadtree — `PrTreeNd<1>` is a 1-D bintree, `PrTreeNd<2>` matches
-//! [`crate::PrQuadtree`], `PrTreeNd<3>` is the PR octree the `split` and
-//! `dims` experiments build, and `PrTreeNd<4>` gives the `b = 16` data
-//! point.
+//! higher dimensional data structures." [`PrTree`] over orthant
+//! decomposition instantiates the PR bucketing discipline for any `D`,
+//! so the generalized `b = 2^D` population model can be validated well
+//! beyond the quadtree — `PrTreeNd<1>` is a 1-D bintree, `PrTreeNd<2>`
+//! matches [`crate::PrQuadtree`] leaf for leaf, `PrTreeNd<3>` is the PR
+//! octree the `split` and `dims` experiments build, and `PrTreeNd<4>`
+//! gives the `b = 16` data point.
 //!
-//! Backed by the contiguous arena core with an incrementally maintained
-//! census, like every regular-decomposition tree in this crate. The
-//! arena's subtree builder partitions a block's points over at most 64
-//! children, so `D ≤ 6`: a wider tree fails to compile.
+//! The arena's subtree builder partitions a block's points over at most
+//! 64 children, so `D ≤ 6`: a wider tree fails to compile. A `D = 0`
+//! tree is refused at run time, before its capacity is checked.
 
-use crate::arena::{ArenaTree, NdDecomp};
-use crate::node_stats::{
-    DepthOccupancyTable, LeafRecord, OccupancyCensus, OccupancyInstrumented, OccupancyProfile,
-};
-use crate::pr_quadtree::{check_capacity, TreeError};
-use popan_geom::{BoxN, PointN};
-
-/// Default depth limit.
-pub const DEFAULT_MAX_DEPTH: u32 = 32;
+use crate::arena::NdDecomp;
+use crate::pr_tree::PrTree;
 
 /// A PR tree over `[f64; D]` points with node capacity `m`, for
 /// `1 ≤ D ≤ 6`.
-#[derive(Debug, Clone)]
-pub struct PrTreeNd<const D: usize> {
-    tree: ArenaTree<NdDecomp<D>>,
-}
-
-impl<const D: usize> PrTreeNd<D> {
-    /// Creates an empty tree over `region` with node capacity `capacity`.
-    pub fn new(region: BoxN<D>, capacity: usize) -> Result<Self, TreeError> {
-        Self::check_params(capacity)?;
-        Ok(PrTreeNd {
-            tree: ArenaTree::new(region, capacity, DEFAULT_MAX_DEPTH),
-        })
-    }
-
-    /// Builds a tree by inserting `points` in order.
-    pub fn build(
-        region: BoxN<D>,
-        capacity: usize,
-        points: impl IntoIterator<Item = PointN<D>>,
-    ) -> Result<Self, TreeError> {
-        let mut t = Self::new(region, capacity)?;
-        let mut pts = Vec::new();
-        for p in points {
-            pts.push(Self::check_point(&region, p)?);
-        }
-        t.tree.bulk_fill(pts);
-        Ok(t)
-    }
-
-    /// The occupancy census of [`build`](Self::build) over the same
-    /// arguments, without the tree (see
-    /// [`PrQuadtree::census_of`](crate::PrQuadtree::census_of)).
-    pub fn census_of(
-        region: BoxN<D>,
-        capacity: usize,
-        points: Vec<PointN<D>>,
-    ) -> Result<OccupancyCensus, TreeError> {
-        Self::check_params(capacity)?;
-        for &p in &points {
-            Self::check_point(&region, p)?;
-        }
-        Ok(ArenaTree::<NdDecomp<D>>::census_of(
-            region,
-            capacity,
-            DEFAULT_MAX_DEPTH,
-            points,
-        ))
-    }
-
-    /// Fails unless `D ≥ 1` and `capacity ≥ 1`, in that order.
-    fn check_params(capacity: usize) -> Result<(), TreeError> {
-        if D == 0 {
-            return Err(TreeError::InvalidParameter(
-                "dimension must be at least 1".into(),
-            ));
-        }
-        check_capacity(capacity)
-    }
-
-    /// `p`, when it is finite and inside `region`: the checks, in the
-    /// order, that `insert` and the bulk entries make.
-    fn check_point(region: &BoxN<D>, p: PointN<D>) -> Result<PointN<D>, TreeError> {
-        if !p.is_finite() {
-            return Err(TreeError::NonFinitePoint);
-        }
-        let bounds = region.lo().iter().zip(region.hi());
-        for (axis, (&coord, (&lo, &hi))) in p.coords.iter().zip(bounds).enumerate() {
-            if !(lo <= coord && coord < hi) {
-                return Err(TreeError::OutOfRegion { axis, coord });
-            }
-        }
-        Ok(p)
-    }
-
-    /// Branching factor `2^D`.
-    pub const fn branching() -> usize {
-        1 << D
-    }
-
-    /// The region covered.
-    pub fn region(&self) -> BoxN<D> {
-        self.tree.region()
-    }
-
-    /// Number of stored points.
-    pub fn len(&self) -> usize {
-        self.tree.len()
-    }
-
-    /// `true` when empty.
-    pub fn is_empty(&self) -> bool {
-        self.tree.is_empty()
-    }
-
-    /// Inserts a point, splitting per the PR rule.
-    pub fn insert(&mut self, p: PointN<D>) -> Result<(), TreeError> {
-        self.tree.insert(Self::check_point(&self.region(), p)?);
-        Ok(())
-    }
-
-    /// `true` when an exactly equal point is stored.
-    pub fn contains(&self, p: &PointN<D>) -> bool {
-        if !self.region().contains(p) {
-            return false;
-        }
-        self.tree.contains(p)
-    }
-
-    /// Total node count (internal + leaf) — O(1) pool accounting.
-    pub fn node_count(&self) -> usize {
-        self.tree.node_count()
-    }
-
-    /// Visits every leaf: the block, its depth, and its stored points.
-    pub fn for_each_leaf(&self, mut f: impl FnMut(&BoxN<D>, u32, &[PointN<D>])) {
-        self.tree
-            .for_each_leaf(&mut |block, depth, _, points| f(block, depth, points));
-    }
-
-    /// All stored points, in leaf-traversal order.
-    pub fn points(&self) -> Vec<PointN<D>> {
-        let mut out = Vec::with_capacity(self.len());
-        self.for_each_leaf(|_, _, pts| out.extend_from_slice(pts));
-        out
-    }
-
-    /// All stored points inside the axis-aligned box `[lo, hi)` on every
-    /// axis, in leaf-traversal order.
-    ///
-    /// A leaf sweep pruned by a conservative (closed-interval) block
-    /// overlap test — fine for the oracle and verification paths this
-    /// backend serves; the query tier freezes hot structures into a
-    /// `Snapshot` for serving.
-    pub fn range_query(&self, lo: &[f64; D], hi: &[f64; D]) -> Vec<PointN<D>> {
-        let mut out = Vec::new();
-        self.for_each_leaf(|block, _, pts| {
-            let disjoint = (0..D).any(|i| block.hi()[i] < lo[i] || hi[i] < block.lo()[i]);
-            if !disjoint {
-                out.extend(
-                    pts.iter()
-                        .filter(|p| (0..D).all(|i| lo[i] <= p.coords[i] && p.coords[i] < hi[i]))
-                        .copied(),
-                );
-            }
-        });
-        out
-    }
-
-    /// Leaf node count, served from the maintained census: O(1).
-    pub fn leaf_count(&self) -> usize {
-        self.tree.census().leaf_count()
-    }
-
-    /// The occupancy profile, maintained incrementally — a
-    /// zero-allocation, zero-traversal read.
-    pub fn occupancy_profile(&self) -> &OccupancyProfile {
-        self.tree.census().profile()
-    }
-
-    /// The per-depth occupancy table, maintained incrementally — a
-    /// zero-allocation, zero-traversal read.
-    pub fn depth_table(&self) -> &DepthOccupancyTable {
-        self.tree.census().depth_table()
-    }
-
-    /// Verifies structural invariants (including census/traversal
-    /// agreement); panics on violation.
-    pub fn check_invariants(&self) {
-        self.tree.check_invariants();
-    }
-}
-
-impl<const D: usize> OccupancyInstrumented for PrTreeNd<D> {
-    fn capacity(&self) -> usize {
-        self.tree.capacity()
-    }
-
-    fn leaf_records(&self) -> Vec<LeafRecord> {
-        self.tree.leaf_records()
-    }
-
-    fn occupancy_profile(&self) -> OccupancyProfile {
-        self.tree.census().profile().clone()
-    }
-
-    fn depth_table(&self) -> DepthOccupancyTable {
-        self.tree.census().depth_table().clone()
-    }
-}
+pub type PrTreeNd<const D: usize> = PrTree<NdDecomp<D>>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pr_quadtree::TreeError;
+    use popan_geom::{BoxN, PointN};
     use popan_rng::rngs::StdRng;
     use popan_rng::{Rng, SeedableRng};
 
@@ -338,21 +144,77 @@ mod tests {
     fn matches_quadtree_structure_in_2d() {
         use crate::pr_quadtree::PrQuadtree;
         use popan_geom::{Point2, Rect};
-        let nd_points = sample_points::<2>(400, 3);
-        let q_points: Vec<Point2> = nd_points
+        // Uniform points, then points on the split lines of the root and
+        // of smaller blocks, and a coincident pile.
+        let mut coords: Vec<[f64; 2]> = sample_points::<2>(400, 3)
             .iter()
-            .map(|p| Point2::new(p.coords[0], p.coords[1]))
+            .map(|p| p.coords)
             .collect();
-        let nd = PrTreeNd::build(BoxN::unit(), 2, nd_points).unwrap();
-        let qt = PrQuadtree::build(Rect::unit(), 2, q_points).unwrap();
-        assert_eq!(nd.node_count(), qt.node_count());
-        assert_eq!(nd.leaf_count(), qt.leaf_count());
-        let mut a = nd.leaf_records();
-        let mut b = qt.leaf_records();
-        let key = |r: &LeafRecord| (r.depth, r.occupancy);
-        a.sort_by_key(key);
-        b.sort_by_key(key);
-        assert_eq!(a, b, "PrTreeNd<2> must mirror PrQuadtree exactly");
+        coords.extend([
+            [0.5, 0.5],
+            [0.5, 0.0],
+            [0.0, 0.5],
+            [0.25, 0.75],
+            [0.125, 0.5],
+        ]);
+        coords.extend([[0.3, 0.7]; 9]);
+        let bits = |c: [f64; 2]| c.map(f64::to_bits);
+        let windows = [
+            ([0.0, 0.0], [1.0, 1.0]),
+            ([0.0, 0.0], [0.5, 0.5]),
+            ([0.25, 0.0], [0.75, 1.0]),
+            ([0.1, 0.3], [0.6, 0.9]),
+            ([0.45, 0.45], [0.55, 0.55]),
+            ([0.3, 0.7], [0.3001, 0.7001]),
+        ];
+        for m in [1, 4, 8] {
+            let nd_points = coords.iter().map(|&c| PointN::new(c));
+            let nd = PrTreeNd::build(BoxN::unit(), m, nd_points).unwrap();
+            let q_points = coords.iter().map(|&[x, y]| Point2::new(x, y));
+            let qt = PrQuadtree::build(Rect::unit(), m, q_points).unwrap();
+            // Every leaf in traversal order: block bounds bit for bit,
+            // depth, and points in order.
+            let mut a = Vec::new();
+            nd.for_each_leaf(|block, depth, pts| {
+                let pts: Vec<_> = pts.iter().map(|p| bits(p.coords)).collect();
+                a.push((bits(*block.lo()), bits(*block.hi()), depth, pts));
+            });
+            let mut b = Vec::new();
+            qt.for_each_leaf(|rect, depth, pts| {
+                let (x, y) = (rect.x(), rect.y());
+                let pts: Vec<_> = pts.iter().map(|p| bits([p.x, p.y])).collect();
+                b.push((bits([x.lo(), y.lo()]), bits([x.hi(), y.hi()]), depth, pts));
+            });
+            assert_eq!(
+                a, b,
+                "m={m}: PrTreeNd<2> must mirror PrQuadtree leaf for leaf"
+            );
+            assert_eq!(nd.node_count(), qt.node_count(), "m={m}");
+            // One walk serves both trees' range and count answers.
+            for (lo, hi) in windows {
+                let (boxn, rect) = (
+                    BoxN::new(lo, hi),
+                    Rect::from_bounds(lo[0], lo[1], hi[0], hi[1]),
+                );
+                let got: Vec<_> = nd
+                    .range_query(&boxn)
+                    .iter()
+                    .map(|p| bits(p.coords))
+                    .collect();
+                let want: Vec<_> = qt
+                    .range_query(&rect)
+                    .iter()
+                    .map(|p| bits([p.x, p.y]))
+                    .collect();
+                assert_eq!(got, want, "m={m} window {rect}");
+                let scan = coords
+                    .iter()
+                    .filter(|&&[x, y]| rect.contains(&Point2::new(x, y)));
+                assert_eq!(want.len(), scan.count(), "m={m} window {rect}");
+                assert_eq!(nd.count_in_range(&boxn), want.len(), "m={m} window {rect}");
+                assert_eq!(qt.count_in_range(&rect), want.len(), "m={m} window {rect}");
+            }
+        }
     }
 
     #[test]
@@ -374,8 +236,9 @@ mod tests {
             .iter()
             .filter(|p| (0..3).all(|i| lo[i] <= p.coords[i] && p.coords[i] < hi[i]))
             .count();
-        assert_eq!(t.range_query(&lo, &hi).len(), expect);
-        assert!(t.range_query(&[2.0; 3], &[3.0; 3]).is_empty());
+        assert_eq!(t.range_query(&BoxN::new(lo, hi)).len(), expect);
+        assert_eq!(t.count_in_range(&BoxN::new(lo, hi)), expect);
+        assert!(t.range_query(&BoxN::new([2.0; 3], [3.0; 3])).is_empty());
     }
 
     #[test]

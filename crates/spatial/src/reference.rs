@@ -11,7 +11,7 @@
 //! * the `BENCH_spatial` micro group measures the arena speedup against
 //!   this implementation as its "before" baseline.
 //!
-//! Every branch mirrors the semantics documented on [`crate::PrQuadtree`]:
+//! Every branch mirrors the semantics documented on [`crate::pr_tree`]:
 //! push-then-check splitting, the coincident-pile exception, max-depth
 //! truncation, and merge-on-underflow collapse.
 

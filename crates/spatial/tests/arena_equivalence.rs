@@ -8,14 +8,15 @@
 //! census rebuilt from a full traversal after *every* operation, and
 //! free-list reuse (remove-then-reinsert) must leave the traversal order
 //! unchanged. The bintree's bulk build is held to its own reference
-//! semantics (sequential insertion).
+//! semantics (sequential insertion), and the bintree's and the octree's
+//! remove-with-merge to a fresh build of the surviving points.
 
-use popan_geom::{Point2, Rect};
+use popan_geom::{BoxN, Point2, PointN, Rect};
 use popan_proptest::prelude::*;
 use popan_spatial::reference::BoxedPrQuadtree;
 use popan_spatial::{
     Bintree, DepthOccupancyTable, OccupancyCensus, OccupancyInstrumented, OccupancyProfile,
-    PrQuadtree,
+    PrQuadtree, PrTreeNd,
 };
 
 /// Asserts every observable of the arena tree against the boxed oracle.
@@ -81,8 +82,61 @@ fn arb_messy_points() -> impl Strategy<Value = Vec<Point2>> {
         })
 }
 
+/// An insert/remove script over points in the unit cube: each step
+/// inserts its point or removes a live one. Kinds 0–3 snap the point to
+/// a 4-cell grid per axis and kind 4 puts it on one fixed spot, so
+/// coincident piles, on split lines and off them, are common.
+fn arb_script() -> impl Strategy<Value = Vec<(bool, [f64; 3])>> {
+    let step = (
+        popan_proptest::bool::ANY,
+        0u8..8,
+        popan_proptest::array::uniform3(0.0f64..1.0),
+    );
+    popan_proptest::collection::vec(step, 0..160).prop_map(|steps| {
+        steps
+            .into_iter()
+            .map(|(insert, kind, c)| match kind {
+                0..=3 => (insert, c.map(|v| (v * 4.0).floor() / 4.0)),
+                4 => (insert, [0.3; 3]),
+                _ => (insert, c),
+            })
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn removal_on_every_scheme_matches_a_fresh_build(
+        script in arb_script(),
+        capacity in 1usize..5,
+    ) {
+        // The bintree stores each point's first two coordinates, the
+        // octree all three; a remove takes a live point by index.
+        let p2 = |c: &[f64; 3]| Point2::new(c[0], c[1]);
+        let mut bin = Bintree::new(Rect::unit(), capacity).unwrap();
+        let mut oct = PrTreeNd::<3>::new(BoxN::unit(), capacity).unwrap();
+        let mut live: Vec<[f64; 3]> = Vec::new();
+        for (i, &(insert, c)) in script.iter().enumerate() {
+            if insert || live.is_empty() {
+                bin.insert(p2(&c)).unwrap();
+                oct.insert(PointN::new(c)).unwrap();
+                live.push(c);
+            } else {
+                let c = live.swap_remove((i * 7919) % live.len());
+                prop_assert!(bin.remove(&p2(&c)));
+                prop_assert!(oct.remove(&PointN::new(c)));
+            }
+        }
+        bin.check_invariants();
+        oct.check_invariants();
+        let fresh = Bintree::build(Rect::unit(), capacity, live.iter().map(p2)).unwrap();
+        prop_assert_eq!(bin.leaf_records(), fresh.leaf_records());
+        let live_3d = live.iter().map(|&c| PointN::new(c));
+        let fresh = PrTreeNd::<3>::build(BoxN::unit(), capacity, live_3d).unwrap();
+        prop_assert_eq!(oct.leaf_records(), fresh.leaf_records());
+    }
 
     #[test]
     fn builds_are_bit_identical(

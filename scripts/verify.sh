@@ -45,6 +45,11 @@ else
   echo "verify: NOTICE — clippy unavailable, skipping cargo clippy" >&2
 fi
 
+# Rustdoc gate: a broken or ambiguous intra-doc link, a public doc that
+# links a private item, or a stray HTML tag fails here instead of
+# passing as a warning.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 # The pair summary's acceptance rule (scripts/bench_pairs.sh), on a
 # fixture whose verdicts are known: one end-to-end metric per verdict,
 # op_p50_us a median gain with too few wins to count, and a per-layer
