@@ -120,6 +120,11 @@ pub trait Decomposition {
 }
 
 /// Quadrant decomposition of a [`Rect`] — the PR quadtree.
+///
+/// `PrTree`'s methods are generic, so they compile in the calling crate,
+/// which inlines a non-generic function of this crate only when it is
+/// marked `#[inline]`. The planar schemes mark the calls made once per
+/// point (`check_point`) and once per level of a descent (`descend`).
 #[derive(Debug, Clone, Copy)]
 pub struct QuadDecomp;
 
@@ -134,6 +139,7 @@ impl Decomposition for QuadDecomp {
         block.quadrant(Quadrant::from_index(i))
     }
 
+    #[inline]
     fn descend(block: &Rect, _depth: u32, p: &Point2) -> (usize, Rect) {
         let (q, child) = block.quadrant_descend(p);
         (q.index(), child)
@@ -151,6 +157,7 @@ impl Decomposition for QuadDecomp {
         block.contains(p)
     }
 
+    #[inline]
     fn check_point(region: &Rect, p: Point2) -> Result<Point2, TreeError> {
         check_point(region, p)
     }
@@ -165,7 +172,7 @@ impl Decomposition for QuadDecomp {
 }
 
 /// Alternating-axis halving of a [`Rect`] — the bintree. Depth-even
-/// levels split on x, depth-odd on y.
+/// levels split on x, depth-odd on y. Inlined as [`QuadDecomp`] is.
 #[derive(Debug, Clone, Copy)]
 pub struct BinDecomp;
 
@@ -187,6 +194,7 @@ impl Decomposition for BinDecomp {
         }
     }
 
+    #[inline]
     fn descend(block: &Rect, depth: u32, p: &Point2) -> (usize, Rect) {
         if depth.is_multiple_of(2) {
             let (h, half) = block.x().descend(p.x);
@@ -217,6 +225,7 @@ impl Decomposition for BinDecomp {
         block.contains(p)
     }
 
+    #[inline]
     fn check_point(region: &Rect, p: Point2) -> Result<Point2, TreeError> {
         check_point(region, p)
     }

@@ -401,6 +401,9 @@ impl OccupancyCensus {
     }
 
     /// An existing leaf's occupancy changed from `old` to `new` in place.
+    /// Inlined: the PR trees' insert and remove, compiled in the calling
+    /// crate, make this call once each.
+    #[inline]
     pub fn occupancy_changed(&mut self, depth: u32, old: usize, new: usize) {
         self.profile.shift_leaf(old, new);
         self.table.shift(depth, old, new);

@@ -66,6 +66,7 @@ impl std::error::Error for TreeError {}
 
 /// `p`, when it is finite and inside `region`: the checks, in the
 /// order, that a planar tree's `insert` and bulk entries make.
+#[inline]
 pub(crate) fn check_point(region: &Rect, p: Point2) -> Result<Point2, TreeError> {
     if !p.is_finite() {
         return Err(TreeError::NonFinitePoint);
